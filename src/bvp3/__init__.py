@@ -1,9 +1,9 @@
 """Fixed-point solver for third-order two-point boundary value problems."""
 
 from .greens import (BoundaryConditions, CaseId, GreenKernel, RankDeficientBC,
-                     SignPattern, SingularBoundarySystem, build_general_kernel,
-                     case_boundary_conditions, kernel_catalog, kernel_norms,
-                     kernel_signs, numeric_kernel_norms)
+                     SingularBoundarySystem, build_general_kernel,
+                     case_boundary_conditions, kernel_catalog,
+                     numeric_kernel_norms)
 from .quadrature import (Grid, LengthMismatch, NodeOffGrid,
                          integrate_kernel_row, kernel_row_matrix, trapezoid)
 from .picard import (Diverged, GridTooCoarse, IterationReport, IterationState,

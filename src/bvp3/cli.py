@@ -19,7 +19,7 @@ from .conditions import verdict
 from .corpus import UnknownProblem, get_problem, list_problems
 from .greens import (BoundaryConditions, CaseId, RankDeficientBC,
                      SingularBoundarySystem, build_general_kernel,
-                     case_boundary_conditions, kernel_catalog)
+                     case_boundary_conditions, kernel_catalog, tabulate)
 from .picard import (Diverged, MaxIterExceeded, NonFiniteValue, kernel_for,
                      solve)
 from .quadrature import Grid
@@ -182,13 +182,29 @@ def cmd_check(name, m_value, samples, json_path):
 def _bc_from_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise click.ClickException("bc file must hold a JSON object")
     keys = ("a1", "b1", "g1", "a2", "b2", "g2", "a3", "b3", "g3")
     missing = [k for k in keys if k not in raw]
     if missing:
         raise click.ClickException("bc file lacks %s" % ", ".join(missing))
-    endpoints = tuple(raw.get("endpoints", (0, 0, 1)))
+    # JSON true/false would pass as numbers
+    bad = [k for k in keys
+           if isinstance(raw[k], bool) or not isinstance(raw[k], (int, float))]
+    if bad:
+        raise click.ClickException("bc file has non-numeric %s" % ", ".join(bad))
+    endpoints = raw.get("endpoints", (0, 0, 1))
+    if isinstance(endpoints, list):
+        endpoints = tuple(endpoints)
     return BoundaryConditions(*(float(raw[k]) for k in keys),
                               endpoints=endpoints)
+
+
+def _kernel_rows(kernel, nodes):
+    """G, G_t and G_tt at every node pair (t_i, s_j), lower branch on s <= t."""
+    below = np.tri(len(nodes), dtype=bool)
+    return [np.where(below, tabulate(low, nodes), tabulate(up, nodes))
+            for low, up in map(kernel.tables, range(3))]
 
 
 @main.command("kernel")
@@ -219,10 +235,7 @@ def cmd_kernel(case_num, bc_file, h, csv_path, compare_general):
             raise click.ClickException(str(exc))
         csv_path = csv_path or "kernel_custom.csv"
     tt = grid.nodes
-    t_grid, s_grid = np.meshgrid(tt, tt, indexing="ij")
-    g_vals = kernel.g(t_grid, s_grid)
-    g1_vals = kernel.g1(t_grid, s_grid)
-    g2_vals = kernel.g2(t_grid, s_grid)
+    g_vals, g1_vals, g2_vals = _kernel_rows(kernel, tt)
     lines = ["t,s,G,G1,G2"]
     for i in range(grid.n + 1):
         for j in range(grid.n + 1):
@@ -232,11 +245,8 @@ def cmd_kernel(case_num, bc_file, h, csv_path, compare_general):
     click.echo("wrote %s" % csv_path)
     if compare_general:
         built = build_general_kernel(case_boundary_conditions(case))
-        gap = 0.0
-        for row in ("g", "g1", "g2"):
-            cat = getattr(kernel, row)(t_grid, s_grid)
-            gen = getattr(built, row)(t_grid, s_grid)
-            gap = max(gap, float(np.max(np.abs(cat - gen))))
+        gap = max(float(np.max(np.abs(cat - gen))) for cat, gen in zip(
+            (g_vals, g1_vals, g2_vals), _kernel_rows(built, tt)))
         click.echo("compare_general_gap = %s" % _fmt(gap))
 
 

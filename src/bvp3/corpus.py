@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .greens import CaseId
+from .greens import CaseId, kernel_catalog
 from .picard import ProblemSpec
 
 __all__ = [
@@ -60,12 +60,7 @@ class CorpusEntry:
 
 def _entry(name, case, f, M, lipschitz, iterations, bounds, provenance,
            exact=None, max_deviation=None, q_reported=None):
-    norms = {
-        CaseId.CASE1: (1.0 / 12.0, 1.0 / 8.0, 0.5),
-        CaseId.CASE2: (1.0 / 3.0, 0.5, 1.0),
-        CaseId.CASE3: (1.0 / 6.0, 0.5, 1.0),
-        CaseId.CASE4: (1.0 / 3.0, 0.5, 1.0),
-    }[case]
+    norms = kernel_catalog(case).norms()
     q = sum(l * m for l, m in zip(lipschitz, norms))
     problem = ProblemSpec(f=f, bc=case, M=M, lipschitz=lipschitz,
                           exact=exact, name=name, positive=True)

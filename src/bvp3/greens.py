@@ -7,7 +7,14 @@ closed forms for the four standard condition sets, a constructor for arbitrary
 full-rank coefficient sets, and the sign and norm metadata that the iteration
 and the solvability checks consume.
 
-Branch convention: the "lower" evaluators apply on s <= t, the "upper" ones on
+Representation: on each side of the diagonal G is a polynomial of degree at
+most 2 in t and in s, so a kernel is two read-only 3x3 coefficient tables,
+``lower`` and ``upper``, whose entry [a, b] multiplies t^a s^b.  The rows
+G_t and G_tt come from differentiating a table in t.  ``evaluate`` is the one
+pointwise evaluator; ``tabulate`` gives a table's values at every pair of
+grid nodes as V @ C @ V.T, with V the Vandermonde matrix [1, x, x^2].
+
+Branch convention: the "lower" table applies on s <= t, the "upper" one on
 t <= s.  Both branches are polynomials defined on the whole square, so either
 can be evaluated anywhere; only the selection rule at the diagonal matters,
 and there the lower branch wins (relevant for the second derivative, which
@@ -16,7 +23,9 @@ jumps by one across s = t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+import numbers
+from dataclasses import astuple, dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -25,20 +34,27 @@ __all__ = [
     "BoundaryConditions",
     "CaseId",
     "GreenKernel",
-    "SignPattern",
     "RankDeficientBC",
     "SingularBoundarySystem",
     "case_boundary_conditions",
     "kernel_catalog",
     "build_general_kernel",
-    "kernel_signs",
-    "kernel_norms",
     "numeric_kernel_norms",
+    "evaluate",
+    "tabulate",
 ]
 
 SIGN_TOL = 1e-12
 CONDITION_LIMIT = 1e12
-NORM_CHECK_TOL = 1e-4
+SIGN_PROBE_N = 100  # sign classification grid
+NORM_BASE_N = 100  # norm grid before refinement; the default 10 gives n = 1000
+
+# t-derivative of a table: row a of the result is (a + 1) times row a + 1
+_DT = np.diag([1.0, 2.0], k=1)
+# (t - s)^2 / 2, the particular part the lower branch adds to the upper one
+_JUMP = np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]])
+# monomials in s of ((1 - s)^2 / 2, 1 - s, 1), one row each
+_P = np.array([[0.5, -1.0, 0.5], [1.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 class RankDeficientBC(ValueError):
@@ -95,8 +111,14 @@ class BoundaryConditions:
         return m
 
     def validate(self):
-        if len(self.endpoints) != 3 or any(e not in (0, 1) for e in self.endpoints):
+        ends = self.endpoints
+        if not (isinstance(ends, tuple) and len(ends) == 3
+                and all(isinstance(e, numbers.Integral) and e in (0, 1)
+                        for e in ends)):
             raise ValueError("endpoints must be a triple of 0s and 1s")
+        if not all(isinstance(c, numbers.Real) and math.isfinite(c)
+                   for c in astuple(self)[:9]):
+            raise ValueError("boundary coefficients must be finite numbers")
         if np.linalg.matrix_rank(self.block_matrix()) < 3:
             raise RankDeficientBC("boundary rows are linearly dependent")
 
@@ -114,138 +136,140 @@ def case_boundary_conditions(case: CaseId) -> BoundaryConditions:
     return _CASE_BCS[case]
 
 
-def _branchfn(fn):
-    """Wrap a two-argument closed form so it broadcasts t against s and
-    always returns a float array (or a plain float for scalar input)."""
-
-    def ev(t, s):
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        t, s = np.broadcast_arrays(t, s)
-        out = np.empty(t.shape)
-        out[...] = fn(t, s)
-        return out if out.ndim else float(out)
-
-    return ev
+def evaluate(table, t, s):
+    """Value of sum c[a, b] t^a s^b, broadcasting t against s; a plain float
+    for scalar input."""
+    t = np.asarray(t, dtype=float)
+    s = np.asarray(s, dtype=float)
+    c = table
+    row = [c[a, 0] + s * (c[a, 1] + s * c[a, 2]) for a in range(3)]
+    out = row[0] + t * (row[1] + t * row[2])
+    return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
+def tabulate(table, nodes):
+    """Matrix of table values at (t_i, s_j) for every pair of nodes."""
+    x = np.asarray(nodes, dtype=float)
+    v = np.stack([np.ones_like(x), x, x * x], axis=1)
+    return v @ table @ v.T
+
+
+def _read_only(table):
+    c = np.array(table, dtype=float)
+    c.setflags(write=False)
+    return c
+
+
+@dataclass(frozen=True, eq=False)
 class GreenKernel:
-    """Piecewise kernel with branch evaluators and solver metadata.
+    """Piecewise-quadratic kernel as two coefficient tables, plus solver
+    metadata.
 
-    sigma_g and sigma_g1 are -1, 0 or +1; zero means the row has no constant
-    sign on the square.  m0, m1, m2 are the max-over-t integrals of |G|,
-    |G_t|, |G_tt|; for catalog kernels they are the closed-form constants.
+    lower and upper are read-only 3x3 tables of G on s <= t and on t <= s;
+    entry [a, b] multiplies t^a s^b.  sigma_g and sigma_g1 are -1, 0 or +1;
+    zero means the row has no constant sign on the square.  m0, m1, m2 are
+    the max-over-t integrals of |G|, |G_t|, |G_tt|; for catalog kernels they
+    are the closed-form constants.
     """
 
-    g_lower: object
-    g_upper: object
-    g1_lower: object
-    g1_upper: object
-    g2_lower: object
-    g2_upper: object
+    lower: np.ndarray
+    upper: np.ndarray
     sigma_g: int
     sigma_g1: int
     m0: float
     m1: float
     m2: float
-    provenance: str
     bc: BoundaryConditions
 
-    def _select(self, lower, upper, t, s):
+    def __post_init__(self):
+        object.__setattr__(self, "lower", _read_only(self.lower))
+        object.__setattr__(self, "upper", _read_only(self.upper))
+
+    def tables(self, order=0):
+        """(lower, upper) tables of the order-th t-derivative, order 0, 1 or 2."""
+        d = np.linalg.matrix_power(_DT, order)
+        return d @ self.lower, d @ self.upper
+
+    def _select(self, order, t, s):
+        low, up = self.tables(order)
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
-        out = np.where(s <= t, lower(t, s), upper(t, s))
+        out = np.where(s <= t, evaluate(low, t, s), evaluate(up, t, s))
         return out if out.ndim else float(out)
 
     def g(self, t, s):
-        return self._select(self.g_lower, self.g_upper, t, s)
+        return self._select(0, t, s)
 
     def g1(self, t, s):
-        return self._select(self.g1_lower, self.g1_upper, t, s)
+        return self._select(1, t, s)
 
     def g2(self, t, s):
-        return self._select(self.g2_lower, self.g2_upper, t, s)
+        return self._select(2, t, s)
+
+    def g_lower(self, t, s):
+        return evaluate(self.tables(0)[0], t, s)
+
+    def g_upper(self, t, s):
+        return evaluate(self.tables(0)[1], t, s)
+
+    def g1_lower(self, t, s):
+        return evaluate(self.tables(1)[0], t, s)
+
+    def g1_upper(self, t, s):
+        return evaluate(self.tables(1)[1], t, s)
+
+    def g2_lower(self, t, s):
+        return evaluate(self.tables(2)[0], t, s)
+
+    def g2_upper(self, t, s):
+        return evaluate(self.tables(2)[1], t, s)
 
     def norms(self):
         return (self.m0, self.m1, self.m2)
 
 
+# case -> (lower table, upper table, (M0, M1, M2), (sigma_g, sigma_g1)), each
+# table written out from the closed form in the comment above it
 _CATALOG = {
-    CaseId.CASE1: dict(
-        g_lower=lambda t, s: 0.5 * s * (t * t - 2.0 * t + s),
-        g_upper=lambda t, s: 0.5 * t * t * (s - 1.0),
-        g1_lower=lambda t, s: s * (t - 1.0),
-        g1_upper=lambda t, s: t * (s - 1.0),
-        g2_lower=lambda t, s: s,
-        g2_upper=lambda t, s: s - 1.0,
-        norms=(1.0 / 12.0, 1.0 / 8.0, 1.0 / 2.0),
-        signs=(-1, -1),
-    ),
-    CaseId.CASE2: dict(
-        g_lower=lambda t, s: 0.5 * s * s - s * t,
-        g_upper=lambda t, s: -0.5 * t * t,
-        g1_lower=lambda t, s: -s,
-        g1_upper=lambda t, s: -t,
-        g2_lower=lambda t, s: 0.0,
-        g2_upper=lambda t, s: -1.0,
-        norms=(1.0 / 3.0, 1.0 / 2.0, 1.0),
-        signs=(-1, -1),
-    ),
-    CaseId.CASE3: dict(
-        g_lower=lambda t, s: 0.5 * s * s,
-        g_upper=lambda t, s: s * t - 0.5 * t * t,
-        g1_lower=lambda t, s: 0.0,
-        g1_upper=lambda t, s: s - t,
-        g2_lower=lambda t, s: 0.0,
-        g2_upper=lambda t, s: -1.0,
-        norms=(1.0 / 6.0, 1.0 / 2.0, 1.0),
-        signs=(1, 1),
-    ),
-    CaseId.CASE4: dict(
-        g_lower=lambda t, s: 0.5 * t * t - t + 0.5 * s * s,
-        g_upper=lambda t, s: t * (s - 1.0),
-        g1_lower=lambda t, s: t - 1.0,
-        g1_upper=lambda t, s: s - 1.0,
-        g2_lower=lambda t, s: 1.0,
-        g2_upper=lambda t, s: 0.0,
-        norms=(1.0 / 3.0, 1.0 / 2.0, 1.0),
-        signs=(-1, -1),
-    ),
+    # s t^2/2 - s t + s^2/2 on s <= t, (s - 1) t^2/2 on t <= s
+    CaseId.CASE1: (
+        ((0.0, 0.0, 0.5), (0.0, -1.0, 0.0), (0.0, 0.5, 0.0)),
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (-0.5, 0.5, 0.0)),
+        (1.0 / 12.0, 1.0 / 8.0, 1.0 / 2.0), (-1, -1)),
+    # s^2/2 - s t on s <= t, -t^2/2 on t <= s
+    CaseId.CASE2: (
+        ((0.0, 0.0, 0.5), (0.0, -1.0, 0.0), (0.0, 0.0, 0.0)),
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (-0.5, 0.0, 0.0)),
+        (1.0 / 3.0, 1.0 / 2.0, 1.0), (-1, -1)),
+    # s^2/2 on s <= t, s t - t^2/2 on t <= s
+    CaseId.CASE3: (
+        ((0.0, 0.0, 0.5), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+        ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-0.5, 0.0, 0.0)),
+        (1.0 / 6.0, 1.0 / 2.0, 1.0), (1, 1)),
+    # t^2/2 - t + s^2/2 on s <= t, s t - t on t <= s
+    CaseId.CASE4: (
+        ((0.0, 0.0, 0.5), (-1.0, 0.0, 0.0), (0.5, 0.0, 0.0)),
+        ((0.0, 0.0, 0.0), (-1.0, 1.0, 0.0), (0.0, 0.0, 0.0)),
+        (1.0 / 3.0, 1.0 / 2.0, 1.0), (-1, -1)),
 }
 
 
 def kernel_catalog(case: CaseId) -> GreenKernel:
     """Closed-form kernel for one of the four catalog condition sets."""
-    entry = _CATALOG[case]
-    m0, m1, m2 = entry["norms"]
-    sg, sg1 = entry["signs"]
-    return GreenKernel(
-        g_lower=_branchfn(entry["g_lower"]),
-        g_upper=_branchfn(entry["g_upper"]),
-        g1_lower=_branchfn(entry["g1_lower"]),
-        g1_upper=_branchfn(entry["g1_upper"]),
-        g2_lower=_branchfn(entry["g2_lower"]),
-        g2_upper=_branchfn(entry["g2_upper"]),
-        sigma_g=sg,
-        sigma_g1=sg1,
-        m0=m0,
-        m1=m1,
-        m2=m2,
-        provenance="catalog",
-        bc=case_boundary_conditions(case),
-    )
+    lower, upper, (m0, m1, m2), (sg, sg1) = _CATALOG[case]
+    return GreenKernel(lower=lower, upper=upper, sigma_g=sg, sigma_g1=sg1,
+                       m0=m0, m1=m1, m2=m2, bc=case_boundary_conditions(case))
 
 
-def build_general_kernel(bc: BoundaryConditions, refinement: int = 10,
-                         base_n: int = 100) -> GreenKernel:
+def build_general_kernel(bc: BoundaryConditions) -> GreenKernel:
     """Construct the kernel for arbitrary full-rank boundary coefficients.
 
     The upper branch is the quadratic c1(s) + c2(s) t + c3(s) t^2 / 2 and the
     lower branch adds the particular part (t - s)^2 / 2.  Applying the three
     boundary rows gives a 3x3 linear system whose matrix does not depend on
-    s, so the coefficient functions come from a single solve.  Norm and sign
-    metadata are filled in numerically on a refined grid.
+    s and whose right-hand side is linear in the monomials
+    ((1-s)^2/2, 1-s, 1), so one solve yields the coefficient tables.  Norm
+    and sign metadata are filled in numerically on a grid.
     """
     bc.validate()
     a_mat = np.zeros((3, 3))
@@ -262,95 +286,38 @@ def build_general_kernel(bc: BoundaryConditions, refinement: int = 10,
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise SingularBoundarySystem(
             "boundary system is numerically singular (condition %.3e)" % cond)
-    b_mat = np.linalg.solve(a_mat, r_mat)
-
-    def coeffs(s):
-        w = 1.0 - s
-        p = np.stack([0.5 * w * w, w, np.ones_like(s)])
-        c = -np.tensordot(b_mat, p, axes=1)
-        return c[0], c[1], c[2]
-
-    def g_upper(t, s):
-        c1, c2, c3 = coeffs(s)
-        return c1 + t * (c2 + 0.5 * c3 * t)
-
-    def g_lower(t, s):
-        d = t - s
-        return g_upper(t, s) + 0.5 * d * d
-
-    def g1_upper(t, s):
-        _, c2, c3 = coeffs(s)
-        return c2 + c3 * t
-
-    def g1_lower(t, s):
-        return g1_upper(t, s) + (t - s)
-
-    def g2_upper(t, s):
-        _, _, c3 = coeffs(s)
-        return c3 + 0.0 * t
-
-    def g2_lower(t, s):
-        return g2_upper(t, s) + 1.0
-
-    branches = dict(
-        g_lower=_branchfn(g_lower), g_upper=_branchfn(g_upper),
-        g1_lower=_branchfn(g1_lower), g1_upper=_branchfn(g1_upper),
-        g2_lower=_branchfn(g2_lower), g2_upper=_branchfn(g2_upper),
-    )
-    probe = np.linspace(0.0, 1.0, base_n + 1)
-    sg, g_const = _classify_sign(branches["g_lower"], branches["g_upper"], probe)
-    sg1, g1_const = _classify_sign(branches["g1_lower"], branches["g1_upper"], probe)
-    kernel = GreenKernel(
-        **branches,
-        sigma_g=sg if g_const else 0,
-        sigma_g1=sg1 if g1_const else 0,
-        m0=0.0, m1=0.0, m2=0.0,
-        provenance="general",
-        bc=bc,
-    )
-    n0, n1, n2 = numeric_kernel_norms(kernel, refinement=refinement, base_n=base_n)
-    return replace(kernel, m0=n0, m1=n1, m2=n2)
+    upper = -np.linalg.solve(a_mat, r_mat) @ _P
+    upper[2] *= 0.5  # c3 multiplies t^2 / 2
+    kernel = GreenKernel(lower=upper + _JUMP, upper=upper, sigma_g=0,
+                         sigma_g1=0, m0=0.0, m1=0.0, m2=0.0, bc=bc)
+    probe = np.linspace(0.0, 1.0, SIGN_PROBE_N + 1)
+    m0, m1, m2 = numeric_kernel_norms(kernel)
+    return replace(kernel, sigma_g=_classify_sign(*kernel.tables(0), probe),
+                   sigma_g1=_classify_sign(*kernel.tables(1), probe),
+                   m0=m0, m1=m1, m2=m2)
 
 
-@dataclass(frozen=True)
-class SignPattern:
-    sigma_g: int
-    sigma_g1: int
-    g_constant_sign: bool
-    g1_constant_sign: bool
-
-
-def _classify_sign(lowfn, upfn, nodes):
-    """Classify one kernel row from samples of both branches on their closed
-    triangles.  A row that never leaves [-tol, tol] counts as +1."""
-    t_grid, s_grid = np.meshgrid(nodes, nodes, indexing="ij")
-    low = np.asarray(lowfn(t_grid, s_grid))[s_grid <= t_grid]
-    up = np.asarray(upfn(t_grid, s_grid))[s_grid >= t_grid]
-    vals = np.concatenate([np.ravel(low), np.ravel(up)])
+def _classify_sign(lower, upper, nodes):
+    """Sign of one kernel row from its tables sampled on their closed
+    triangles: +1 or -1 when the row keeps that sign, 0 when it changes.
+    A row that never leaves [-tol, tol] counts as +1."""
+    below = np.tri(len(nodes), dtype=bool)  # s_j <= t_i
+    vals = np.concatenate([tabulate(lower, nodes)[below],
+                           tabulate(upper, nodes)[below.T]])
     if np.all(vals >= -SIGN_TOL):
-        return 1, True
+        return 1
     if np.all(vals <= SIGN_TOL):
-        return -1, True
-    return 0, False
+        return -1
+    return 0
 
 
-def kernel_signs(kernel: GreenKernel, probe_n: int = 100) -> SignPattern:
-    """Sampled sign pattern of G and G_t over the unit square."""
-    nodes = np.linspace(0.0, 1.0, probe_n + 1)
-    sg, g_const = _classify_sign(kernel.g_lower, kernel.g_upper, nodes)
-    sg1, g1_const = _classify_sign(kernel.g1_lower, kernel.g1_upper, nodes)
-    return SignPattern(sg if g_const else 0, sg1 if g1_const else 0,
-                       g_const, g1_const)
-
-
-def _row_norm(lowfn, upfn, n):
+def _row_norm(lower, upper, n):
     # trapezoid in s, split at the diagonal so the jump in G_tt never
     # straddles a subinterval
     nodes = np.linspace(0.0, 1.0, n + 1)
     h = 1.0 / n
-    t_grid, s_grid = np.meshgrid(nodes, nodes, indexing="ij")
-    low = np.abs(np.asarray(lowfn(t_grid, s_grid)))
-    up = np.abs(np.asarray(upfn(t_grid, s_grid)))
+    low = np.abs(tabulate(lower, nodes))
+    up = np.abs(tabulate(upper, nodes))
     idx = np.arange(n + 1)
     cs_low = np.cumsum(low, axis=1)
     left = h * (cs_low[idx, idx] - 0.5 * low[idx, 0] - 0.5 * low[idx, idx])
@@ -361,31 +328,9 @@ def _row_norm(lowfn, upfn, n):
     return float(np.max(left + right))
 
 
-def numeric_kernel_norms(kernel: GreenKernel, refinement: int = 10,
-                         base_n: int = 100):
+def numeric_kernel_norms(kernel: GreenKernel, refinement: int = 10):
     """Quadrature values of (M0, M1, M2) on a grid refined by ``refinement``."""
     if refinement < 1:
         raise ValueError("refinement must be at least 1")
-    n = base_n * refinement
-    return (
-        _row_norm(kernel.g_lower, kernel.g_upper, n),
-        _row_norm(kernel.g1_lower, kernel.g1_upper, n),
-        _row_norm(kernel.g2_lower, kernel.g2_upper, n),
-    )
-
-
-def kernel_norms(kernel: GreenKernel, refinement: int = 10):
-    """Kernel row norms (M0, M1, M2).
-
-    Catalog kernels return their closed-form constants after a consistency
-    check against quadrature; constructed kernels return quadrature values.
-    """
-    numeric = numeric_kernel_norms(kernel, refinement=refinement)
-    if kernel.provenance == "catalog":
-        analytic = kernel.norms()
-        drift = max(abs(a - b) for a, b in zip(analytic, numeric))
-        if drift > NORM_CHECK_TOL:
-            raise RuntimeError(
-                "catalog norms drifted from quadrature by %.3e" % drift)
-        return analytic
-    return numeric
+    n = NORM_BASE_N * refinement
+    return tuple(_row_norm(*kernel.tables(order), n) for order in range(3))

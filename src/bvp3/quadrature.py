@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import GreenKernel
+from .greens import GreenKernel, evaluate, tabulate
 
 __all__ = [
     "Grid",
@@ -78,14 +78,11 @@ def trapezoid(values, h: float) -> float:
 _ROW_KEYS = ("G", "G1", "G2")
 
 
-def _branches(kernel: GreenKernel, row: str):
-    if row == "G":
-        return kernel.g_lower, kernel.g_upper
-    if row == "G1":
-        return kernel.g1_lower, kernel.g1_upper
-    if row == "G2":
-        return kernel.g2_lower, kernel.g2_upper
-    raise ValueError("row must be one of %r" % (_ROW_KEYS,))
+def _order(row: str) -> int:
+    """Number of t-derivatives a row name stands for."""
+    if row not in _ROW_KEYS:
+        raise ValueError("row must be one of %r" % (_ROW_KEYS,))
+    return _ROW_KEYS.index(row)
 
 
 def integrate_kernel_row(kernel: GreenKernel, row: str, t: float, phi,
@@ -95,7 +92,7 @@ def integrate_kernel_row(kernel: GreenKernel, row: str, t: float, phi,
     t must be a grid node; the integral is split there and each piece uses
     the branch valid on its side.
     """
-    low, up = _branches(kernel, row)
+    low, up = kernel.tables(_order(row))
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (grid.n + 1,):
         raise LengthMismatch(
@@ -105,17 +102,16 @@ def integrate_kernel_row(kernel: GreenKernel, row: str, t: float, phi,
     ti = s[i]
     total = 0.0
     if i >= 1:
-        total += trapezoid(np.asarray(low(ti, s[:i + 1])) * phi[:i + 1], grid.h)
+        total += trapezoid(evaluate(low, ti, s[:i + 1]) * phi[:i + 1], grid.h)
     if i <= grid.n - 1:
-        total += trapezoid(np.asarray(up(ti, s[i:])) * phi[i:], grid.h)
+        total += trapezoid(evaluate(up, ti, s[i:]) * phi[i:], grid.h)
     return float(total)
 
 
 def kernel_row_matrix(kernel: GreenKernel, row: str, grid: Grid) -> np.ndarray:
     """Quadrature weight matrix W with (W @ phi)[i] = integrate_kernel_row at t_i."""
-    low, up = _branches(kernel, row)
+    low, up = kernel.tables(_order(row))
     n, h = grid.n, grid.h
-    t_grid, s_grid = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
     w_low = np.tril(np.full((n + 1, n + 1), h))
     w_low[:, 0] *= 0.5
     idx = np.diag_indices(n + 1)
@@ -125,4 +121,4 @@ def kernel_row_matrix(kernel: GreenKernel, row: str, grid: Grid) -> np.ndarray:
     w_up[:, n] *= 0.5
     w_up[idx] *= 0.5
     w_up[n, :] = 0.0
-    return w_low * np.asarray(low(t_grid, s_grid)) + w_up * np.asarray(up(t_grid, s_grid))
+    return w_low * tabulate(low, grid.nodes) + w_up * tabulate(up, grid.nodes)

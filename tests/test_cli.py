@@ -152,6 +152,25 @@ def test_kernel_bc_file_routes(runner, tmp_path):
         res = runner.invoke(main, ["kernel", "--bc-file", "short.json"])
         assert res.exit_code == 1
 
+        good = {"a1": 1, "b1": 0, "g1": 0, "a2": 0, "b2": 1, "g2": 0,
+                "a3": 1, "b3": 0, "g3": 0}
+        malformed = {
+            "ends_int.json": (dict(good, endpoints=5), "endpoints"),
+            "ends_pair.json": (dict(good, endpoints=[0, 1]), "endpoints"),
+            "null.json": (dict(good, b2=None), "b2"),
+            "text.json": (dict(good, a3="1"), "a3"),
+            "flag.json": (dict(good, a1=True), "a1"),
+            "nan.json": (dict(good, g3=float("nan")), "finite"),
+            "inf.json": (dict(good, g3=float("inf")), "finite"),
+            "list.json": ([1, 0, 0], "object"),
+        }
+        for name, (doc, said) in malformed.items():
+            Path(name).write_text(json.dumps(doc))
+            res = runner.invoke(main, ["kernel", "--bc-file", name])
+            assert res.exit_code == 1, name
+            assert res.output.startswith("Error:") and said in res.output, name
+            assert res.exception is None or isinstance(res.exception, SystemExit)
+
 
 def test_kernel_usage_errors(runner):
     assert runner.invoke(main, ["kernel"]).exit_code == 2

@@ -1,14 +1,14 @@
-"""Kernel closed forms, signs, norms, and the general constructor."""
+"""Kernel tables, closed forms, signs, norms, and the general constructor."""
 
 import numpy as np
 import pytest
-from dataclasses import replace
 from numpy.testing import assert_allclose
 
 from bvp3 import (BoundaryConditions, CaseId, build_general_kernel,
-                  case_boundary_conditions, kernel_catalog, kernel_norms,
-                  kernel_signs, numeric_kernel_norms)
-from bvp3.greens import RankDeficientBC, SingularBoundarySystem
+                  case_boundary_conditions, kernel_catalog,
+                  numeric_kernel_norms)
+from bvp3.greens import (RankDeficientBC, SingularBoundarySystem,
+                         _classify_sign)
 
 ALL_CASES = list(CaseId)
 ANALYTIC_NORMS = {
@@ -86,8 +86,7 @@ def test_third_derivative_vanishes_off_diagonal(case):
 
 @pytest.mark.parametrize("case", ALL_CASES)
 def test_analytic_norms_exact(case):
-    k = kernel_catalog(case)
-    assert kernel_norms(k) == ANALYTIC_NORMS[case]
+    assert kernel_catalog(case).norms() == ANALYTIC_NORMS[case]
 
 
 @pytest.mark.parametrize("case", ALL_CASES)
@@ -99,12 +98,12 @@ def test_numeric_norms_close(case):
 @pytest.mark.parametrize("case", ALL_CASES)
 def test_sign_patterns(case):
     k = kernel_catalog(case)
-    pat = kernel_signs(k)
-    assert (pat.sigma_g, pat.sigma_g1) == SIGNS[case]
-    assert pat.g_constant_sign and pat.g1_constant_sign
+    probe = np.linspace(0.0, 1.0, 101)
+    sampled = tuple(_classify_sign(*k.tables(order), probe) for order in (0, 1))
+    assert sampled == SIGNS[case]
     assert (k.sigma_g, k.sigma_g1) == SIGNS[case]
     # every catalog case predicts an increasing positive solution
-    assert pat.sigma_g * pat.sigma_g1 == 1
+    assert k.sigma_g * k.sigma_g1 == 1
 
 
 def test_case1_nonpositive_everywhere():
@@ -115,11 +114,8 @@ def test_case1_nonpositive_everywhere():
 
 
 def test_zero_row_counts_as_positive():
-    k = kernel_catalog(CaseId.CASE3)
-    zero = lambda t, s: np.zeros_like(np.asarray(t, dtype=float))
-    flat = replace(k, g1_lower=zero, g1_upper=zero)
-    pat = kernel_signs(flat)
-    assert pat.sigma_g1 == 1 and pat.g1_constant_sign
+    zero = np.zeros((3, 3))
+    assert _classify_sign(zero, zero, np.linspace(0.0, 1.0, 101)) == 1
 
 
 @pytest.mark.parametrize("case", ALL_CASES)
@@ -133,6 +129,17 @@ def test_general_constructor_matches_catalog(case):
         assert gap <= 1e-12
     assert (gen.sigma_g, gen.sigma_g1) == SIGNS[case]
     assert_allclose(gen.norms(), ANALYTIC_NORMS[case], atol=1e-4)
+
+
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_catalog_tables_match_constructor(case):
+    # the catalog tables are written out by hand, so this compares two
+    # independent derivations of the same coefficients
+    cat = kernel_catalog(case)
+    gen = build_general_kernel(case_boundary_conditions(case))
+    assert_allclose(cat.lower, gen.lower, rtol=0, atol=1e-15)
+    assert_allclose(cat.upper, gen.upper, rtol=0, atol=1e-15)
+    assert not cat.lower.flags.writeable and not gen.upper.flags.writeable
 
 
 def test_general_constructor_hand_oracle():
@@ -179,5 +186,12 @@ def test_same_row_at_both_ends_is_independent():
 
 
 def test_bad_endpoints_rejected():
-    with pytest.raises(ValueError):
-        BoundaryConditions(1, 0, 0, 0, 1, 0, 0, 1, 0, endpoints=(0, 2, 1)).validate()
+    for ends in ((0, 2, 1), (0, 1), 5, (0.0, 0, 1)):
+        with pytest.raises(ValueError):
+            BoundaryConditions(1, 0, 0, 0, 1, 0, 0, 1, 0, endpoints=ends).validate()
+
+
+def test_nonfinite_coefficients_rejected():
+    for bad in (np.nan, np.inf, None, "1"):
+        with pytest.raises(ValueError, match="finite numbers"):
+            BoundaryConditions(1, 0, 0, 0, 1, 0, 0, 1, bad).validate()

@@ -1,13 +1,15 @@
 """Trapezoid rules, grid bookkeeping, and the diagonal split."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from bvp3 import (CaseId, Grid, LengthMismatch, NodeOffGrid,
-                  integrate_kernel_row, kernel_catalog, kernel_row_matrix,
-                  trapezoid)
+from bvp3 import (BoundaryConditions, CaseId, Grid, LengthMismatch,
+                  NodeOffGrid, build_general_kernel, integrate_kernel_row,
+                  kernel_catalog, kernel_row_matrix, trapezoid)
 
 GRID = Grid(100)
 CASE1 = kernel_catalog(CaseId.CASE1)
@@ -117,9 +119,11 @@ def test_row_argument_validation():
 def test_matrix_agrees_with_row_integrals():
     rng = np.random.default_rng(11)
     phi = rng.standard_normal(GRID.n + 1)
-    for row in ("G", "G1", "G2"):
-        w = kernel_row_matrix(CASE1, row, GRID)
-        direct = np.array([integrate_kernel_row(CASE1, row, t, phi, GRID)
+    # u(0) = u'(0) = u(1) = 0 has no catalog counterpart
+    built = build_general_kernel(BoundaryConditions(1, 0, 0, 0, 1, 0, 1, 0, 0))
+    for kernel, row in itertools.product((CASE1, built), ("G", "G1", "G2")):
+        w = kernel_row_matrix(kernel, row, GRID)
+        direct = np.array([integrate_kernel_row(kernel, row, t, phi, GRID)
                            for t in GRID.nodes])
         assert_allclose(w @ phi, direct, rtol=1e-12, atol=1e-13)
 
