@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import click
 import numpy as np
@@ -19,29 +19,18 @@ from .conditions import verdict
 from .corpus import UnknownProblem, get_problem, list_problems
 from .greens import (BoundaryConditions, CaseId, RankDeficientBC,
                      SingularBoundarySystem, build_general_kernel,
-                     case_boundary_conditions, kernel_catalog, tabulate)
+                     _lower_wins, case_boundary_conditions, kernel_catalog)
 from .picard import (Diverged, MaxIterExceeded, NonFiniteValue, kernel_for,
                      solve)
 from .quadrature import Grid
 
-__all__ = ["main", "RunConfig", "NoExactSolution", "convergence_study"]
+__all__ = ["main", "NoExactSolution", "convergence_study"]
 
 FLOAT_FMT = "%.17g"
 
 
 class NoExactSolution(ValueError):
     """Convergence study asked for a problem without a closed-form solution."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run parameters shared by the solve-like commands."""
-
-    problem: str
-    h: float = 0.01
-    tol: float = 1e-6
-    max_iter: int = 100
-    m_override: float = None
 
 
 def _fmt(v) -> str:
@@ -55,16 +44,19 @@ def _grid_from_h(h):
         raise click.ClickException(str(exc))
 
 
-def _resolved_problem(config: RunConfig):
+def _resolved_problem(name, m_override):
     try:
-        entry = get_problem(config.problem)
+        entry = get_problem(name)
     except UnknownProblem as exc:
         # KeyError str() would requote the message
         raise click.ClickException(exc.args[0])
     problem = entry.problem
-    if config.m_override is not None and config.m_override != problem.M:
+    if m_override is not None and m_override != problem.M:
         # analytic Lipschitz constants are certified at the stored M only
-        problem = replace(problem, M=config.m_override, lipschitz=None)
+        try:
+            problem = replace(problem, M=m_override, lipschitz=None)
+        except ValueError as exc:
+            raise click.ClickException("%s: %s" % (name, exc))
     return entry, problem
 
 
@@ -98,14 +90,11 @@ def main():
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None)
 def cmd_solve(name, h, tol, max_iter, m_override, csv_path, json_path):
     """Solve one corpus problem and write the solution CSV and run report."""
-    config = RunConfig(problem=name, h=h, tol=tol, max_iter=max_iter,
-                       m_override=m_override)
-    entry, problem = _resolved_problem(config)
-    grid = _grid_from_h(config.h)
+    entry, problem = _resolved_problem(name, m_override)
+    grid = _grid_from_h(h)
     try:
-        state, report = solve(problem, grid, tol=config.tol,
-                              max_iter=config.max_iter)
-    except (Diverged, MaxIterExceeded, NonFiniteValue) as exc:
+        state, report = solve(problem, grid, tol=tol, max_iter=max_iter)
+    except (ValueError, Diverged, MaxIterExceeded, NonFiniteValue) as exc:
         raise click.ClickException("%s: %s" % (name, exc))
     csv_path = csv_path or "%s_solution.csv" % name
     json_path = json_path or "%s_report.json" % name
@@ -116,8 +105,8 @@ def cmd_solve(name, h, tol, max_iter, m_override, csv_path, json_path):
     _write_text(csv_path, "\n".join(lines) + "\n")
     doc = {
         "problem": name,
-        "h": config.h,
-        "tol": config.tol,
+        "h": h,
+        "tol": tol,
         "iterations": report.iterations,
         "final_diff": report.final_diff,
         "q": report.q,
@@ -145,8 +134,7 @@ def cmd_solve(name, h, tol, max_iter, m_override, csv_path, json_path):
               help="Also write the verdict to a file.")
 def cmd_check(name, m_value, samples, json_path):
     """Evaluate the solvability checks and print the verdict as JSON."""
-    config = RunConfig(problem=name, m_override=m_value)
-    entry, problem = _resolved_problem(config)
+    entry, problem = _resolved_problem(name, m_value)
     m_used = m_value if m_value is not None else entry.reference.M
     kernel = kernel_for(problem)
     try:
@@ -202,8 +190,7 @@ def _bc_from_file(path):
 
 def _kernel_rows(kernel, nodes):
     """G, G_t and G_tt at every node pair (t_i, s_j), lower branch on s <= t."""
-    below = np.tri(len(nodes), dtype=bool)
-    return [np.where(below, tabulate(low, nodes), tabulate(up, nodes))
+    return [_lower_wins(low, up, nodes)
             for low, up in map(kernel.tables, range(3))]
 
 
@@ -282,8 +269,7 @@ def convergence_study(entry, h0, levels, tol=1e-6, max_iter=100):
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)
 def cmd_convergence(name, h0, levels, tol, csv_path):
     """Halve the grid repeatedly and report observed deviation orders."""
-    config = RunConfig(problem=name, h=h0, tol=tol)
-    entry, _ = _resolved_problem(config)
+    entry, _ = _resolved_problem(name, None)
     try:
         rows = convergence_study(entry, h0, levels, tol=tol)
     except (NoExactSolution, ValueError, Diverged, MaxIterExceeded) as exc:

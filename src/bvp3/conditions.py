@@ -16,7 +16,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .greens import GreenKernel
-from .picard import NonFiniteValue, ProblemSpec
+from .picard import ProblemSpec, _eval_f
 
 __all__ = [
     "ConditionVerdict",
@@ -77,14 +77,6 @@ def _box(M, norms, positive, sigma_g, sign_product):
     return np.asarray(lo), np.asarray(hi)
 
 
-def _sample_f(f, pts):
-    vals = np.empty(pts.shape[0])
-    vals[...] = f(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteValue("f returned non-finite values while sampling")
-    return vals
-
-
 def _scaled_halton(d, samples, lo, hi):
     raw = qmc.Halton(d=d, scramble=False).random(samples)
     return lo + raw * (hi - lo)
@@ -107,7 +99,7 @@ def estimate_sup_f(problem: ProblemSpec, M: float, norms, domain: str = "full",
     positive = domain == "positive"
     lo, hi = _box(M, norms, positive, sigma_g, sign_product)
     pts4 = _scaled_halton(4, samples, lo, hi)
-    vals = _sample_f(problem.f, pts4)
+    vals = _eval_f(problem.f, *pts4.T)
     sup = float(np.max(np.abs(vals)))
     sign_ok = None
     if positive:
@@ -141,7 +133,8 @@ def estimate_lipschitz(problem: ProblemSpec, M: float, norms,
         delta = np.abs(alt - base[:, axis])
         mask = delta > DIFF_FLOOR
         if np.any(mask):
-            quot = np.abs(_sample_f(problem.f, moved) - _sample_f(problem.f, base))
+            quot = np.abs(_eval_f(problem.f, *moved.T)
+                          - _eval_f(problem.f, *base.T))
             out.append(float(np.max(quot[mask] / delta[mask])))
         else:
             out.append(0.0)

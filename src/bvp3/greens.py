@@ -14,6 +14,11 @@ G_t and G_tt come from differentiating a table in t.  ``evaluate`` is the one
 pointwise evaluator; ``tabulate`` gives a table's values at every pair of
 grid nodes as V @ C @ V.T, with V the Vandermonde matrix [1, x, x^2].
 
+Each grid rule is written once, here: ``_lower_wins`` picks a branch at every
+node pair for the sign probe and the ``bvp3 kernel`` dump, and
+``_split_weights`` builds the split-diagonal trapezoid weights behind both
+the numeric norms and the sweep matrices of ``quadrature.kernel_row_matrix``.
+
 Branch convention: the "lower" table applies on s <= t, the "upper" one on
 t <= s.  Both branches are polynomials defined on the whole square, so either
 can be evaluated anywhere; only the selection rule at the diagonal matters,
@@ -152,6 +157,27 @@ def tabulate(table, nodes):
     x = np.asarray(nodes, dtype=float)
     v = np.stack([np.ones_like(x), x, x * x], axis=1)
     return v @ table @ v.T
+
+
+def _lower_wins(lower, upper, nodes):
+    """Row values at every node pair (t_i, s_j): the lower table on s_j <= t_i,
+    the upper one above the diagonal."""
+    below = np.tri(len(nodes), dtype=bool)
+    return np.where(below, tabulate(lower, nodes), tabulate(upper, nodes))
+
+
+def _split_weights(n):
+    """Trapezoid weights (w_lower, w_upper) on the n-interval unit grid, split
+    at the diagonal: row i of w_lower integrates over [0, t_i] and row i of
+    w_upper over [t_i, 1], so each side uses its own table and the jump in
+    G_tt never straddles a subinterval.  w_upper is w_lower turned half a
+    turn."""
+    h = 1.0 / n
+    w_low = np.tril(np.full((n + 1, n + 1), h))
+    w_low[:, 0] *= 0.5
+    w_low[np.diag_indices(n + 1)] *= 0.5
+    w_low[0, :] = 0.0
+    return w_low, w_low[::-1, ::-1]
 
 
 def _read_only(table):
@@ -298,12 +324,10 @@ def build_general_kernel(bc: BoundaryConditions) -> GreenKernel:
 
 
 def _classify_sign(lower, upper, nodes):
-    """Sign of one kernel row from its tables sampled on their closed
-    triangles: +1 or -1 when the row keeps that sign, 0 when it changes.
+    """Sign of one kernel row from its values on the grid, lower branch on
+    the diagonal: +1 or -1 when the row keeps that sign, 0 when it changes.
     A row that never leaves [-tol, tol] counts as +1."""
-    below = np.tri(len(nodes), dtype=bool)  # s_j <= t_i
-    vals = np.concatenate([tabulate(lower, nodes)[below],
-                           tabulate(upper, nodes)[below.T]])
+    vals = _lower_wins(lower, upper, nodes)
     if np.all(vals >= -SIGN_TOL):
         return 1
     if np.all(vals <= SIGN_TOL):
@@ -311,26 +335,18 @@ def _classify_sign(lower, upper, nodes):
     return 0
 
 
-def _row_norm(lower, upper, n):
-    # trapezoid in s, split at the diagonal so the jump in G_tt never
-    # straddles a subinterval
-    nodes = np.linspace(0.0, 1.0, n + 1)
-    h = 1.0 / n
-    low = np.abs(tabulate(lower, nodes))
-    up = np.abs(tabulate(upper, nodes))
-    idx = np.arange(n + 1)
-    cs_low = np.cumsum(low, axis=1)
-    left = h * (cs_low[idx, idx] - 0.5 * low[idx, 0] - 0.5 * low[idx, idx])
-    left[0] = 0.0
-    cs_up = np.cumsum(up[:, ::-1], axis=1)[:, ::-1]
-    right = h * (cs_up[idx, idx] - 0.5 * up[idx, n] - 0.5 * up[idx, idx])
-    right[n] = 0.0
-    return float(np.max(left + right))
-
-
 def numeric_kernel_norms(kernel: GreenKernel, refinement: int = 10):
-    """Quadrature values of (M0, M1, M2) on a grid refined by ``refinement``."""
+    """Quadrature values of (M0, M1, M2) on a grid refined by ``refinement``:
+    the largest row sum of w_lower * |lower| + w_upper * |upper|."""
     if refinement < 1:
         raise ValueError("refinement must be at least 1")
     n = NORM_BASE_N * refinement
-    return tuple(_row_norm(*kernel.tables(order), n) for order in range(3))
+    nodes = np.linspace(0.0, 1.0, n + 1)
+    w_low, w_up = _split_weights(n)
+    norms = []
+    for low, up in map(kernel.tables, range(3)):
+        # summing each side on its own keeps fewer (n+1)^2 temporaries alive
+        rows = (np.sum(w_low * np.abs(tabulate(low, nodes)), axis=1)
+                + np.sum(w_up * np.abs(tabulate(up, nodes)), axis=1))
+        norms.append(float(np.max(rows)))
+    return tuple(norms)

@@ -157,7 +157,7 @@ def solve(problem: ProblemSpec, grid: Grid, tol: float = 1e-6,
     re-integrated from the accepted phi so state.u, .y, .z are always
     consistent with state.phi.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

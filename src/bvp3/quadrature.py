@@ -2,7 +2,9 @@
 
 Kernel integrals are split at the diagonal node so each branch is integrated
 on its own side; the one-sided values at s = t come from the matching branch.
-That keeps second-order accuracy even though the G_tt row jumps there.
+That keeps second-order accuracy even though the G_tt row jumps there.  The
+split weights themselves come from ``greens``, which also uses them for the
+kernel norms.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import GreenKernel, evaluate, tabulate
+from .greens import GreenKernel, _split_weights, evaluate, tabulate
 
 __all__ = [
     "Grid",
@@ -53,7 +55,7 @@ class Grid:
 
     @classmethod
     def from_h(cls, h: float) -> "Grid":
-        if h <= 0.0:
+        if not h > 0.0:
             raise ValueError("step must be positive")
         n = round(1.0 / h)
         if n < 2 or abs(n * h - 1.0) > NODE_TOL:
@@ -111,14 +113,5 @@ def integrate_kernel_row(kernel: GreenKernel, row: str, t: float, phi,
 def kernel_row_matrix(kernel: GreenKernel, row: str, grid: Grid) -> np.ndarray:
     """Quadrature weight matrix W with (W @ phi)[i] = integrate_kernel_row at t_i."""
     low, up = kernel.tables(_order(row))
-    n, h = grid.n, grid.h
-    w_low = np.tril(np.full((n + 1, n + 1), h))
-    w_low[:, 0] *= 0.5
-    idx = np.diag_indices(n + 1)
-    w_low[idx] *= 0.5
-    w_low[0, :] = 0.0
-    w_up = np.triu(np.full((n + 1, n + 1), h))
-    w_up[:, n] *= 0.5
-    w_up[idx] *= 0.5
-    w_up[n, :] = 0.0
+    w_low, w_up = _split_weights(grid.n)
     return w_low * tabulate(low, grid.nodes) + w_up * tabulate(up, grid.nodes)

@@ -70,6 +70,25 @@ def test_solve_unknown_problem_exit_code(runner):
     assert "nosuch" in res.output
 
 
+@pytest.mark.parametrize("args, said", [
+    (["solve", "--problem", "dqa1", "--tol", "0"], "tol must be positive"),
+    (["solve", "--problem", "dqa1", "--tol", "-1"], "tol must be positive"),
+    (["solve", "--problem", "dqa1", "--tol", "nan"], "tol must be positive"),
+    (["solve", "--problem", "dqa1", "--max-iter", "0"], "max_iter"),
+    (["solve", "--problem", "dqa1", "--M", "-1"], "M must be positive"),
+    (["solve", "--problem", "dqa1", "--M", "nan"], "M must be positive"),
+    (["solve", "--problem", "dqa1", "--h", "nan"], "step must be positive"),
+    (["check", "--problem", "dqa1", "--M", "-1"], "M must be positive"),
+], ids=["tol-0", "tol-neg", "tol-nan", "max-iter-0", "M-neg", "M-nan",
+        "h-nan", "check-M-neg"])
+def test_bad_numbers_end_with_clean_error(runner, tmp_path, args, said):
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert res.output.startswith("Error:") and said in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
 def test_solve_m_override_drops_analytic_constants(runner, tmp_path):
     with runner.isolated_filesystem(temp_dir=tmp_path):
         res = runner.invoke(main, ["solve", "--problem", "dqa1", "--M", "6.0",

@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 
 from bvp3 import (BoundaryConditions, CaseId, Grid, LengthMismatch,
                   NodeOffGrid, build_general_kernel, integrate_kernel_row,
-                  kernel_catalog, kernel_row_matrix, trapezoid)
+                  kernel_catalog, kernel_row_matrix, numeric_kernel_norms,
+                  trapezoid)
 
 GRID = Grid(100)
 CASE1 = kernel_catalog(CaseId.CASE1)
@@ -118,14 +119,31 @@ def test_row_argument_validation():
 
 def test_matrix_agrees_with_row_integrals():
     rng = np.random.default_rng(11)
-    phi = rng.standard_normal(GRID.n + 1)
-    # u(0) = u'(0) = u(1) = 0 has no catalog counterpart
+    # u(0) = u'(0) = u(1) = 0 has no catalog counterpart; CASE3 puts two
+    # rows at the right end
     built = build_general_kernel(BoundaryConditions(1, 0, 0, 0, 1, 0, 1, 0, 0))
-    for kernel, row in itertools.product((CASE1, built), ("G", "G1", "G2")):
-        w = kernel_row_matrix(kernel, row, GRID)
-        direct = np.array([integrate_kernel_row(kernel, row, t, phi, GRID)
-                           for t in GRID.nodes])
-        assert_allclose(w @ phi, direct, rtol=1e-12, atol=1e-13)
+    kernels = (CASE1, kernel_catalog(CaseId.CASE3), built)
+    # an odd grid has no middle column, so an offset in the half-turned
+    # upper weights would show
+    for grid in (GRID, Grid(7)):
+        phi = rng.standard_normal(grid.n + 1)
+        for kernel, row in itertools.product(kernels, ("G", "G1", "G2")):
+            w = kernel_row_matrix(kernel, row, grid)
+            direct = np.array([integrate_kernel_row(kernel, row, t, phi, grid)
+                               for t in grid.nodes])
+            assert_allclose(w @ phi, direct, rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("case", list(CaseId))
+def test_constant_sign_norms_match_weight_rows(case):
+    # on a constant-sign row |W| @ 1 = |W @ 1|, so the sampled norm and the
+    # sweep matrix read the same split-diagonal rule
+    kernel = kernel_catalog(case)
+    norms = numeric_kernel_norms(kernel)
+    ones = np.ones(1001)
+    for order, row in enumerate(("G", "G1")):
+        w = kernel_row_matrix(kernel, row, Grid(1000))
+        assert abs(norms[order] - np.max(np.abs(w @ ones))) <= 1e-14
 
 
 def test_order_of_accuracy_smooth_source():
