@@ -2,18 +2,21 @@
 
 The checks bound f on a box domain whose half-widths are M times the kernel
 row norms, estimate per-argument Lipschitz constants when analytic ones are
-not supplied, and combine them into the weighted sum q.  Sampling uses an
-unscrambled Halton sequence, so every verdict is reproducible bit for bit.
-Sampled suprema are lower bounds of the true ones; the verdict records them
-as estimates, not certificates.
+not supplied, and combine them into the weighted sum q.  Sampling uses one
+unscrambled five-dimensional Halton point set, drawn in-house and cached per
+sample count, so every verdict is reproducible bit for bit and a verdict
+draws its points at most once: the sup estimates read the first four
+coordinates, the Lipschitz quotients all five.  Sampled suprema are lower bounds
+of the true ones; the verdict records them as estimates, not certificates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.stats import qmc
 
 from .greens import GreenKernel
 from .picard import ProblemSpec, _eval_f
@@ -62,24 +65,48 @@ class ConditionVerdict:
 
 
 def _box(M, norms, positive, sigma_g, sign_product):
-    m0, m1, m2 = norms
+    # python floats, so an overflowing box reads inf without a numpy warning
+    r0, r1, r2 = (float(m) * float(M) for m in norms)
     if positive:
         if sigma_g == 0 or sign_product == 0:
             raise ValueError("one-sided domain needs a constant-sign kernel")
         # sigma(G) f >= 0 makes u nonnegative whatever the kernel sign,
         # so x is one-sided; the slope range follows sigma(G) sigma(G_t)
-        y_lo, y_hi = (0.0, m1 * M) if sign_product > 0 else (-m1 * M, 0.0)
-        lo = [0.0, 0.0, y_lo, -m2 * M]
-        hi = [1.0, m0 * M, y_hi, m2 * M]
+        y_lo, y_hi = (0.0, r1) if sign_product > 0 else (-r1, 0.0)
+        lo = [0.0, 0.0, y_lo, -r2]
+        hi = [1.0, r0, y_hi, r2]
     else:
-        lo = [0.0, -m0 * M, -m1 * M, -m2 * M]
-        hi = [1.0, m0 * M, m1 * M, m2 * M]
-    return np.asarray(lo), np.asarray(hi)
+        lo = [0.0, -r0, -r1, -r2]
+        hi = [1.0, r0, r1, r2]
+    span = [h - l for l, h in zip(lo, hi)]
+    if not all(map(math.isfinite, span)):
+        raise ValueError("M is too large: the sampling box overflows")
+    # column vectors, to scale rows of Halton points
+    return np.asarray(lo)[:, None], np.asarray(span)[:, None]
 
 
-def _scaled_halton(d, samples, lo, hi):
-    raw = qmc.Halton(d=d, scramble=False).random(samples)
-    return lo + raw * (hi - lo)
+@lru_cache(maxsize=1)
+def _halton(samples):
+    """First `samples` points of the unscrambled five-dimensional Halton set
+    (bases 2, 3, 5, 7, 11), as a read-only (5, samples) array with one row
+    per base, so that each coordinate is contiguous.
+
+    Each radical inverse adds its digits least significant first, each one
+    scaled by repeated division by the base, which is the common unscrambled
+    construction; the tests pin the points by their SHA-256.
+    """
+    rows = []
+    for b in (2, 3, 5, 7, 11):
+        seq, step = np.zeros(1), 1.0 / b
+        while seq.size < samples:
+            # the last round takes only the leading digits it needs
+            digits = np.arange(min(b, -(-samples // seq.size)))
+            seq = (seq + (digits * step)[:, None]).ravel()
+            step /= b
+        rows.append(seq[:samples])
+    pts = np.stack(rows)
+    pts.flags.writeable = False
+    return pts
 
 
 def estimate_sup_f(problem: ProblemSpec, M: float, norms, domain: str = "full",
@@ -90,16 +117,18 @@ def estimate_sup_f(problem: ProblemSpec, M: float, norms, domain: str = "full",
     oriented by the kernel signs and additionally reports whether
     sigma(G) * f stayed nonnegative at every sample.
     """
-    if not M > 0.0:
-        raise ValueError("M must be positive")
+    if not 0.0 < M < math.inf:
+        raise ValueError("M must be positive and finite")
     if samples < MIN_SAMPLES:
         raise ValueError("need at least %d samples" % MIN_SAMPLES)
     if domain not in ("full", "positive"):
         raise ValueError("domain must be 'full' or 'positive'")
     positive = domain == "positive"
-    lo, hi = _box(M, norms, positive, sigma_g, sign_product)
-    pts4 = _scaled_halton(4, samples, lo, hi)
-    vals = _eval_f(problem.f, *pts4.T)
+    lo, span = _box(M, norms, positive, sigma_g, sign_product)
+    # scaled in place: a second (4, samples) array costs more than the sums
+    pts4 = _halton(samples)[:4] * span
+    pts4 += lo
+    vals = _eval_f(problem.f, *pts4)
     sup = float(np.max(np.abs(vals)))
     sign_ok = None
     if positive:
@@ -122,19 +151,20 @@ def estimate_lipschitz(problem: ProblemSpec, M: float, norms,
     if samples < MIN_SAMPLES:
         raise ValueError("need at least %d samples" % MIN_SAMPLES)
     positive = problem.positive and sigma_g != 0 and sign_product != 0
-    lo, hi = _box(M, norms, positive, sigma_g, sign_product)
-    raw = qmc.Halton(d=5, scramble=False).random(samples)
-    base = lo + raw[:, :4] * (hi - lo)
+    lo, span = _box(M, norms, positive, sigma_g, sign_product)
+    raw = _halton(samples)
+    base = raw[:4] * span
+    base += lo
+    at_base = _eval_f(problem.f, *base)
     out = []
     for axis in (1, 2, 3):
-        alt = lo[axis] + raw[:, 4] * (hi[axis] - lo[axis])
-        moved = base.copy()
-        moved[:, axis] = alt
-        delta = np.abs(alt - base[:, axis])
+        alt = lo[axis] + raw[4] * span[axis]
+        delta = np.abs(alt - base[axis])
         mask = delta > DIFF_FLOOR
         if np.any(mask):
-            quot = np.abs(_eval_f(problem.f, *moved.T)
-                          - _eval_f(problem.f, *base.T))
+            moved = list(base)
+            moved[axis] = alt
+            quot = np.abs(_eval_f(problem.f, *moved) - at_base)
             out.append(float(np.max(quot[mask] / delta[mask])))
         else:
             out.append(0.0)

@@ -10,6 +10,7 @@ one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,8 +81,8 @@ class ProblemSpec:
     positive: bool = False
 
     def __post_init__(self):
-        if self.M is not None and not self.M > 0.0:
-            raise ValueError("M must be positive")
+        if self.M is not None and not 0.0 < self.M < math.inf:
+            raise ValueError("M must be positive and finite")
         if self.lipschitz is not None:
             if len(self.lipschitz) != 3 or any(l < 0.0 for l in self.lipschitz):
                 raise ValueError("lipschitz must be three nonnegative constants")
@@ -132,7 +133,9 @@ def kernel_for(problem: ProblemSpec) -> GreenKernel:
 
 def _eval_f(f, t, x, y, z):
     out = np.empty_like(t)
-    out[...] = f(t, x, y, z)
+    # overflow inside f is reported by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out[...] = f(t, x, y, z)
     if not np.all(np.isfinite(out)):
         raise NonFiniteValue("f returned non-finite values")
     return out

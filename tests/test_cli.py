@@ -79,8 +79,13 @@ def test_solve_unknown_problem_exit_code(runner):
     (["solve", "--problem", "dqa1", "--M", "nan"], "M must be positive"),
     (["solve", "--problem", "dqa1", "--h", "nan"], "step must be positive"),
     (["check", "--problem", "dqa1", "--M", "-1"], "M must be positive"),
+    (["check", "--problem", "dqa", "--M", "inf"], "M must be positive and finite"),
+    (["solve", "--problem", "dqa", "--M", "inf"], "M must be positive and finite"),
+    (["check", "--problem", "dqa", "--M", "1e308"], "sampling box overflows"),
+    (["check", "--problem", "bai-3.5", "--M", "1e200"], "f returned non-finite"),
 ], ids=["tol-0", "tol-neg", "tol-nan", "max-iter-0", "M-neg", "M-nan",
-        "h-nan", "check-M-neg"])
+        "h-nan", "check-M-neg", "check-M-inf", "M-inf", "check-box-overflow",
+        "check-f-overflow"])
 def test_bad_numbers_end_with_clean_error(runner, tmp_path, args, said):
     with runner.isolated_filesystem(temp_dir=tmp_path):
         res = runner.invoke(main, args)

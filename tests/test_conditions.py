@@ -1,17 +1,71 @@
 """Sampled bound and Lipschitz estimates, and the combined verdicts."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from dataclasses import replace
 
+import bvp3
+from bvp3 import conditions
 from bvp3 import (BoundaryConditions, CaseId, ProblemSpec, build_general_kernel,
                   estimate_lipschitz, estimate_sup_f, get_problem, kernel_catalog,
                   kernel_for, verdict)
 
 CASE1 = kernel_catalog(CaseId.CASE1)
 NORMS1 = CASE1.norms()
+
+
+def test_halton_leading_values():
+    pts = conditions._halton(1000)
+    assert pts.shape == (5, 1000)
+    assert list(pts[0, :5]) == [0.0, 0.5, 0.25, 0.75, 0.125]
+    assert list(pts[1, :5]) == [0.0, 1 / 3, 2 / 3, 1 / 9, 4 / 9]
+
+
+# digests of the unscrambled Halton points as drawn by scipy 1.17.1's
+# qmc.Halton(d, scramble=False).random(n), an (n, d) array
+@pytest.mark.parametrize("d, n, digest", [
+    (4, 4096, "6b863e92a76ea6721d458e45352a2620f730c27c03fe94cc973c947dd8c4594f"),
+    (5, 4096, "8e7fac63858700cf8ddc50d16b49f8e03a75d0f0f469a50c787fb895518eaf52"),
+    (5, 65536, "189a49bd6e79f894870884361cdb8780cf49ff23a858a9d6f15d17939e13d380"),
+])
+def test_halton_points_pinned(d, n, digest):
+    pts = conditions._halton(n)[:d].T
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
+
+
+def test_halton_points_read_only():
+    pts = conditions._halton(1000)
+    assert not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0] = 1.0
+
+
+def test_verdicts_draw_points_once():
+    entry = get_problem("bai-3.5")
+    kernel = kernel_for(entry.problem)
+    conditions._halton.cache_clear()
+    analytic = verdict(entry.problem, kernel, entry.reference.M)
+    sampled = verdict(replace(entry.problem, M=0.75, lipschitz=None), kernel, 0.75)
+    assert analytic.lipschitz_source == "analytic"
+    assert sampled.lipschitz_source == "sampled"
+    # a miss is a call into the uncached body
+    assert conditions._halton.cache_info().misses == 1
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, bvp3.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(bvp3.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_sup_estimate_exponential():
@@ -46,8 +100,11 @@ def test_sup_estimate_monotone_in_radius():
 
 def test_sup_estimate_validation():
     entry = get_problem("yao-feng-7")
-    with pytest.raises(ValueError):
-        estimate_sup_f(entry.problem, -1.0, NORMS1)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="M must be positive and finite"):
+            estimate_sup_f(entry.problem, bad, NORMS1)
+    with pytest.raises(ValueError, match="sampling box overflows"):
+        estimate_sup_f(entry.problem, 1e308, (1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         estimate_sup_f(entry.problem, 1.0, NORMS1, samples=100)
     with pytest.raises(ValueError):
