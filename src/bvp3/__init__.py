@@ -4,8 +4,7 @@ from .greens import (BoundaryConditions, CaseId, GreenKernel, RankDeficientBC,
                      SingularBoundarySystem, build_general_kernel,
                      case_boundary_conditions, kernel_catalog,
                      numeric_kernel_norms)
-from .quadrature import (Grid, LengthMismatch, NodeOffGrid,
-                         integrate_kernel_row, kernel_row_matrix, trapezoid)
+from .quadrature import Grid, kernel_row_matrix
 from .picard import (Diverged, GridTooCoarse, IterationReport, IterationState,
                      MaxIterExceeded, NonFiniteValue, ProblemSpec,
                      QNotContractive, apriori_bound, kernel_for, residual,

@@ -65,6 +65,15 @@ def _write_text(path, text):
         fh.write(text)
 
 
+def _csv_text(header, columns):
+    """CSV text: the header, then one line per index of the equal-length
+    columns, written with one format that puts FLOAT_FMT in every field."""
+    row = ",".join([FLOAT_FMT] * len(columns))
+    lines = [header]
+    lines.extend(row % tuple(r) for r in np.column_stack(columns).tolist())
+    return "\n".join(lines) + "\n"
+
+
 def _json_value(v):
     if v is None or isinstance(v, (bool, int, str)):
         return v
@@ -98,11 +107,8 @@ def cmd_solve(name, h, tol, max_iter, m_override, csv_path, json_path):
         raise click.ClickException("%s: %s" % (name, exc))
     csv_path = csv_path or "%s_solution.csv" % name
     json_path = json_path or "%s_report.json" % name
-    lines = ["t,u,du,d2u,phi"]
-    for i in range(grid.n + 1):
-        lines.append(",".join(_fmt(v) for v in (
-            grid.nodes[i], state.u[i], state.y[i], state.z[i], state.phi[i])))
-    _write_text(csv_path, "\n".join(lines) + "\n")
+    _write_text(csv_path, _csv_text("t,u,du,d2u,phi", (
+        grid.nodes, state.u, state.y, state.z, state.phi)))
     doc = {
         "problem": name,
         "h": h,
@@ -223,12 +229,9 @@ def cmd_kernel(case_num, bc_file, h, csv_path, compare_general):
         csv_path = csv_path or "kernel_custom.csv"
     tt = grid.nodes
     g_vals, g1_vals, g2_vals = _kernel_rows(kernel, tt)
-    lines = ["t,s,G,G1,G2"]
-    for i in range(grid.n + 1):
-        for j in range(grid.n + 1):
-            lines.append(",".join(_fmt(v) for v in (
-                tt[i], tt[j], g_vals[i, j], g1_vals[i, j], g2_vals[i, j])))
-    _write_text(csv_path, "\n".join(lines) + "\n")
+    _write_text(csv_path, _csv_text("t,s,G,G1,G2", (
+        np.repeat(tt, tt.size), np.tile(tt, tt.size),
+        g_vals.ravel(), g1_vals.ravel(), g2_vals.ravel())))
     click.echo("wrote %s" % csv_path)
     if compare_general:
         built = build_general_kernel(case_boundary_conditions(case))

@@ -118,7 +118,8 @@ class BoundaryConditions:
     def validate(self):
         ends = self.endpoints
         if not (isinstance(ends, tuple) and len(ends) == 3
-                and all(isinstance(e, numbers.Integral) and e in (0, 1)
+                and all(isinstance(e, numbers.Integral)
+                        and not isinstance(e, bool) and e in (0, 1)
                         for e in ends)):
             raise ValueError("endpoints must be a triple of 0s and 1s")
         if not all(isinstance(c, numbers.Real) and math.isfinite(c)

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from bvp3.cli import NoExactSolution, convergence_study, main
-from bvp3 import get_problem
+from bvp3 import Grid, get_problem, solve
 
 REPORT_FIELDS = ["problem", "h", "tol", "iterations", "final_diff", "q", "p_k",
                  "M0", "M1", "M2", "bound_checks", "residual", "max_dev_exact",
@@ -62,6 +62,22 @@ def test_solve_deterministic_bytes(runner, tmp_path):
             assert res.exit_code == 0
         assert Path("a.csv").read_bytes() == Path("b.csv").read_bytes()
         assert Path("a.json").read_bytes() == Path("b.json").read_bytes()
+
+
+def test_solve_csv_matches_per_value_format(runner, tmp_path):
+    # the row-at-a-time writer must give the bytes of a plain per-value join
+    grid = Grid.from_h(0.01)
+    state, _ = solve(get_problem("dqa").problem, grid)
+    lines = ["t,u,du,d2u,phi"]
+    for i in range(grid.n + 1):
+        lines.append(",".join("%.17g" % v for v in (
+            grid.nodes[i], state.u[i], state.y[i], state.z[i], state.phi[i])))
+    expected = ("\n".join(lines) + "\n").encode("utf-8")
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        res = runner.invoke(main, ["solve", "--problem", "dqa", "--h", "0.01",
+                                   "--csv", "s.csv", "--json", "s.json"])
+        assert res.exit_code == 0, res.output
+        assert Path("s.csv").read_bytes() == expected
 
 
 def test_solve_unknown_problem_exit_code(runner):
@@ -181,6 +197,8 @@ def test_kernel_bc_file_routes(runner, tmp_path):
         malformed = {
             "ends_int.json": (dict(good, endpoints=5), "endpoints"),
             "ends_pair.json": (dict(good, endpoints=[0, 1]), "endpoints"),
+            "ends_bool.json": (dict(good, endpoints=[0, False, True]),
+                               "endpoints"),
             "null.json": (dict(good, b2=None), "b2"),
             "text.json": (dict(good, a3="1"), "a3"),
             "flag.json": (dict(good, a1=True), "a1"),

@@ -186,7 +186,7 @@ def test_same_row_at_both_ends_is_independent():
 
 
 def test_bad_endpoints_rejected():
-    for ends in ((0, 2, 1), (0, 1), 5, (0.0, 0, 1)):
+    for ends in ((0, 2, 1), (0, 1), 5, (0.0, 0, 1), (0, False, True)):
         with pytest.raises(ValueError):
             BoundaryConditions(1, 0, 0, 0, 1, 0, 0, 1, 0, endpoints=ends).validate()
 
