@@ -4,7 +4,7 @@ from .greens import (BoundaryConditions, CaseId, GreenKernel, RankDeficientBC,
                      SingularBoundarySystem, build_general_kernel,
                      case_boundary_conditions, kernel_catalog,
                      numeric_kernel_norms)
-from .quadrature import Grid, kernel_row_matrix
+from .quadrature import Grid, apply_rows, kernel_row_matrix
 from .picard import (Diverged, GridTooCoarse, IterationReport, IterationState,
                      MaxIterExceeded, NonFiniteValue, ProblemSpec,
                      QNotContractive, apriori_bound, kernel_for, residual,

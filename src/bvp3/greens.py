@@ -17,7 +17,8 @@ grid nodes as V @ C @ V.T, with V the Vandermonde matrix [1, x, x^2].
 Each grid rule is written once, here: ``_lower_wins`` picks a branch at every
 node pair for the sign probe and the ``bvp3 kernel`` dump, and
 ``_split_weights`` builds the split-diagonal trapezoid weights behind both
-the numeric norms and the sweep matrices of ``quadrature.kernel_row_matrix``.
+the numeric norms and the dense weight matrices of
+``quadrature.kernel_row_matrix``.
 
 Branch convention: the "lower" table applies on s <= t, the "upper" one on
 t <= s.  Both branches are polynomials defined on the whole square, so either
@@ -56,6 +57,8 @@ NORM_BASE_N = 100  # norm grid before refinement; the default 10 gives n = 1000
 
 # t-derivative of a table: row a of the result is (a + 1) times row a + 1
 _DT = np.diag([1.0, 2.0], k=1)
+# its powers 0, 1, 2 take a table to the tables of G, G_t and G_tt
+_DT_POWERS = tuple(np.linalg.matrix_power(_DT, k) for k in range(3))
 # (t - s)^2 / 2, the particular part the lower branch adds to the upper one
 _JUMP = np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]])
 # monomials in s of ((1 - s)^2 / 2, 1 - s, 1), one row each
@@ -211,11 +214,14 @@ class GreenKernel:
     def __post_init__(self):
         object.__setattr__(self, "lower", _read_only(self.lower))
         object.__setattr__(self, "upper", _read_only(self.upper))
+        object.__setattr__(self, "_rows", tuple(
+            (_read_only(d @ self.lower), _read_only(d @ self.upper))
+            for d in _DT_POWERS))
 
     def tables(self, order=0):
-        """(lower, upper) tables of the order-th t-derivative, order 0, 1 or 2."""
-        d = np.linalg.matrix_power(_DT, order)
-        return d @ self.lower, d @ self.upper
+        """(lower, upper) tables of the order-th t-derivative, order 0, 1 or 2;
+        derived once per kernel and read-only."""
+        return self._rows[order]
 
     def _select(self, order, t, s):
         low, up = self.tables(order)

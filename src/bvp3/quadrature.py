@@ -1,12 +1,16 @@
 """Split-diagonal trapezoid quadrature on the uniform unit grid.
 
-``kernel_row_matrix`` is the one way the package integrates a kernel row:
-(W @ phi)[i] is the composite trapezoid value of the integral of
-K(t_i, s) phi(s) over [0, 1], split at the diagonal node so each branch is
-integrated on its own side; the one-sided values at s = t come from the
-matching branch.  That keeps second-order accuracy even though the G_tt row
-jumps there.  The split weights themselves come from ``greens``, which also
-uses them for the kernel norms.
+The rule: the integral of K(t_i, s) phi(s) over [0, 1] is a composite
+trapezoid split at the diagonal node, so each branch is integrated on its own
+side and the one-sided values at s = t come from the matching branch.  That
+keeps second-order accuracy even though the G_tt row jumps there.
+
+``apply_rows`` is how the sweeps apply it: each branch is a polynomial in s,
+so row i needs only trapezoid prefix and suffix sums of s^b phi, and the
+three rows G, G1, G2 cost O(n) together.  ``kernel_row_matrix`` writes the
+same rule out as a dense (n+1)^2 weight matrix from the split weights in
+``greens`` (which also uses them for the kernel norms); it is the reference
+the tests hold ``apply_rows`` to.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .greens import GreenKernel, _split_weights, tabulate
 
 __all__ = [
     "Grid",
+    "apply_rows",
     "kernel_row_matrix",
 ]
 
@@ -68,3 +73,26 @@ def kernel_row_matrix(kernel: GreenKernel, row: str, grid: Grid) -> np.ndarray:
     low, up = kernel.tables(_ROW_KEYS.index(row))
     w_low, w_up = _split_weights(grid.n)
     return w_low * tabulate(low, grid.nodes) + w_up * tabulate(up, grid.nodes)
+
+
+def apply_rows(kernel: GreenKernel, grid: Grid, phi):
+    """(u, u', u'') at the nodes: the rows G, G1 and G2 applied to phi by the
+    rule of ``kernel_row_matrix``, in O(n).
+
+    With g_b = s^b phi and the running sum mid_i = g_0 + ... + g_(i-1) + g_i/2,
+    the trapezoid sums of g_b over [0, t_i] and [t_i, 1] are
+    pre_b[i] = h (mid_i - mid_0) and suf_b[i] = h (mid_n - mid_i), and entry i
+    of a kernel row with tables (lower, upper) is
+    sum_a t_i^a sum_b (lower[a, b] pre_b[i] + upper[a, b] suf_b[i]).
+    """
+    x = grid.nodes
+    powers = np.stack([np.ones_like(x), x, x * x])  # s^b, and t^a, at the nodes
+    g = powers * phi
+    mid = np.cumsum(g, axis=1) - 0.5 * g
+    sums = np.concatenate([mid - mid[:, :1], mid[:, -1:] - mid])
+    sums *= grid.h
+    # one (lower | upper) block of rows per kernel row G, G1, G2
+    coef = np.concatenate([np.concatenate(kernel.tables(order), axis=1)
+                           for order in range(3)])
+    terms = (coef @ sums).reshape(3, 3, -1)
+    return tuple(np.sum(terms * powers, axis=1))

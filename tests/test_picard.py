@@ -1,5 +1,7 @@
 """Fixed-point iteration: counts, bounds, residuals, failure modes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -182,6 +184,55 @@ def test_residual_boundary_rows_match_conditions(solved):
     _, defects = residual_parts(state, entry.problem, GRID)
     assert defects.shape == (3,)
     assert abs(state.u[0]) == pytest.approx(defects[0], abs=1e-15)
+
+
+def _plain_interior(state, problem, grid, k=1):
+    """The residual's interior stencil written out on every k-th node."""
+    u, h = state.u[::k], k * grid.h
+    d3 = (u[4:] - 2.0 * u[3:-1] + 2.0 * u[1:-3] - u[:-4]) / (2.0 * h ** 3)
+    f = problem.f(grid.nodes[::k], u, state.y[::k], state.z[::k])
+    return float(np.max(np.abs(d3 - f[2:-2])))
+
+
+def test_residual_stride_starts_above_n_1351():
+    # criterion 10 (n = 100) and the benchmark grid (n = 1000) keep the
+    # plain stencil bit for bit
+    problem = get_problem("dqa1").problem
+    for n, k in ((100, 1), (1000, 1), (1351, 1), (1352, 2)):
+        grid = Grid(n)
+        state, _ = solve(problem, grid)
+        interior, _ = residual_parts(state, problem, grid)
+        assert interior == _plain_interior(state, problem, grid, k)
+
+
+# strided interior residuals; the plain stencil gives 2.0e-3 and 1.56 (dqa1),
+# 8.5e-4 and 0.99 (dqa) at these n.  At n = 10^5 the prefix-sum rounding of
+# the fields still sets them: long-double fields give 1.3e-6 and 3.6e-7.
+STRIDED_RESIDUAL = {("dqa1", 10 ** 4): 3.6626e-06, ("dqa1", 10 ** 5): 4.7866e-05,
+                    ("dqa", 10 ** 4): 2.9515e-06, ("dqa", 10 ** 5): 2.6609e-05}
+
+
+@pytest.mark.parametrize("name, n", list(STRIDED_RESIDUAL))
+def test_strided_residual_at_fine_grids(name, n):
+    problem = get_problem(name).problem
+    grid = Grid(n)
+    state, _ = solve(problem, grid)
+    interior, defects = residual_parts(state, problem, grid)
+    assert interior == pytest.approx(STRIDED_RESIDUAL[name, n], rel=0.05)
+    assert np.max(defects) <= 1e-5
+
+
+def test_solve_memory_is_linear():
+    # three dense weight matrices at n = 2000 take 96 MiB; the O(n) sweeps
+    # peaked at 0.65 MiB
+    problem = get_problem("dqa1").problem
+    tracemalloc.start()
+    try:
+        solve(problem, Grid(2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_grid_too_coarse():

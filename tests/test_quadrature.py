@@ -1,15 +1,18 @@
-"""Grid bookkeeping, the trapezoid weights, and the diagonal split."""
+"""Grid bookkeeping, the trapezoid weights, the diagonal split, and the
+O(n) apply held to the dense weight matrices."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from bvp3 import (BoundaryConditions, CaseId, Grid, build_general_kernel,
+from bvp3 import (BoundaryConditions, CaseId, Grid, RankDeficientBC,
+                  SingularBoundarySystem, apply_rows, build_general_kernel,
                   kernel_catalog, kernel_row_matrix, numeric_kernel_norms)
-from bvp3.greens import _split_weights
+from bvp3.greens import _split_weights, evaluate
 
 GRID = Grid(100)
 CASE1 = kernel_catalog(CaseId.CASE1)
@@ -152,3 +155,71 @@ def test_order_of_accuracy_smooth_source():
         errs.append(abs(val - exact))
     for coarse, fine in zip(errs, errs[1:]):
         assert 3.6 <= coarse / fine <= 4.4
+
+
+ROWS = ("G", "G1", "G2")
+ENDPOINTS = list(itertools.product((0, 1), repeat=3))
+# over 600 random kernels and grids, |apply_rows - dense| was at most 9.8e-17
+# times max|phi| * (sum|lower| + sum|upper|) of the row's tables
+APPLY_TOL = 1e-15
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=st.sampled_from([None, *CaseId]),
+       coeffs=st.lists(st.floats(-3, 3), min_size=9, max_size=9),
+       endpoints=st.sampled_from(ENDPOINTS), n=st.integers(2, 300),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-3, 1e3))
+@example(case=CaseId.CASE3, coeffs=[0.0] * 9, endpoints=(0, 0, 1), n=7,
+         seed=0, scale=1.0)
+@example(case=None, coeffs=[1, 0, 0, 0, 1, 0, 1, 0, 0], endpoints=(0, 1, 1),
+         n=7, seed=1, scale=1.0)
+def test_apply_rows_matches_dense(case, coeffs, endpoints, n, seed, scale):
+    # a catalog kernel, or one built from random boundary rows
+    if case is not None:
+        kernel = kernel_catalog(case)
+    else:
+        try:
+            kernel = build_general_kernel(
+                BoundaryConditions(*coeffs, endpoints=endpoints))
+        except (RankDeficientBC, SingularBoundarySystem):
+            assume(False)
+    grid = Grid(n)
+    phi = scale * np.random.default_rng(seed).standard_normal(n + 1)
+    for order, field in enumerate(apply_rows(kernel, grid, phi)):
+        low, up = kernel.tables(order)
+        atol = (APPLY_TOL * np.max(np.abs(phi))
+                * (np.sum(np.abs(low)) + np.sum(np.abs(up))))
+        dense = kernel_row_matrix(kernel, ROWS[order], grid) @ phi
+        assert_allclose(field, dense, rtol=0, atol=atol)
+
+
+def _trapezoid_weights(m, h):
+    """Composite trapezoid weights over m subintervals; none for m = 0."""
+    w = np.full(m + 1, h if m else 0.0)
+    w[[0, -1]] *= 0.5
+    return w
+
+
+# |apply_rows - fsum| / fsum(|terms|) measured at most 1.1e-15 (CASE1) and
+# 6.0e-14 (CASE3); the running sums add in sequence, so this grows with n
+FSUM_TOL = 5e-13
+
+
+@pytest.mark.parametrize("case", [CaseId.CASE1, CaseId.CASE3])
+def test_apply_rows_against_fsum(case):
+    kernel = kernel_catalog(case)
+    n = 10 ** 5
+    grid = Grid(n)
+    s, h = grid.nodes, grid.h
+    rng = np.random.default_rng(2)
+    phi = rng.standard_normal(n + 1)
+    fields = apply_rows(kernel, grid, phi)
+    rows = [0, n, *rng.choice(np.arange(1, n), 8, replace=False)]
+    for order, field in enumerate(fields):
+        low, up = kernel.tables(order)
+        for i in rows:
+            terms = np.concatenate([
+                _trapezoid_weights(i, h) * evaluate(low, s[i], s[:i + 1]) * phi[:i + 1],
+                _trapezoid_weights(n - i, h) * evaluate(up, s[i], s[i:]) * phi[i:]])
+            assert (abs(field[i] - math.fsum(terms))
+                    <= FSUM_TOL * math.fsum(np.abs(terms)))
