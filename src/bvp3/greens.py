@@ -14,10 +14,16 @@ G_t and G_tt come from differentiating a table in t.  ``evaluate`` is the one
 pointwise evaluator; ``tabulate`` gives a table's values at every pair of
 grid nodes as V @ C @ V.T, with V the Vandermonde matrix [1, x, x^2].
 
+Norms of constructed kernels are exact at each t: at fixed t each side of a
+row is a quadratic in s, so its integral of |.| over [0, t] or [t, 1] is a
+sum of antiderivative differences between its real roots.  The max over t
+is a scan estimate (a coarse t-scan refined around its best point), not a
+certified bound.
+
 Each grid rule is written once, here: ``_lower_wins`` picks a branch at every
 node pair for the sign probe and the ``bvp3 kernel`` dump, and
-``_split_weights`` builds the split-diagonal trapezoid weights behind both
-the numeric norms and the dense weight matrices of
+``_split_weights`` builds the split-diagonal trapezoid weights behind the
+reference ``numeric_kernel_norms`` and the dense weight matrices of
 ``quadrature.kernel_row_matrix``.
 
 Branch convention: the "lower" table applies on s <= t, the "upper" one on
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
@@ -53,7 +59,10 @@ __all__ = [
 SIGN_TOL = 1e-12
 CONDITION_LIMIT = 1e12
 SIGN_PROBE_N = 100  # sign classification grid
-NORM_BASE_N = 100  # norm grid before refinement; the default 10 gives n = 1000
+NORM_BASE_N = 100  # numeric_kernel_norms grid per unit of refinement
+NORM_SCAN_N = 512  # intervals of the coarse t-scan for the exact norms
+NORM_ZOOM_N = 64  # intervals of each zoom window, two previous steps wide
+NORM_ZOOMS = 3
 
 # t-derivative of a table: row a of the result is (a + 1) times row a + 1
 _DT = np.diag([1.0, 2.0], k=1)
@@ -190,6 +199,12 @@ def _read_only(table):
     return c
 
 
+def _row_tables(lower, upper):
+    """Read-only (lower, upper) tables of G, G_t and G_tt, one pair each."""
+    return tuple((_read_only(d @ lower), _read_only(d @ upper))
+                 for d in _DT_POWERS)
+
+
 @dataclass(frozen=True, eq=False)
 class GreenKernel:
     """Piecewise-quadratic kernel as two coefficient tables, plus solver
@@ -198,8 +213,9 @@ class GreenKernel:
     lower and upper are read-only 3x3 tables of G on s <= t and on t <= s;
     entry [a, b] multiplies t^a s^b.  sigma_g and sigma_g1 are -1, 0 or +1;
     zero means the row has no constant sign on the square.  m0, m1, m2 are
-    the max-over-t integrals of |G|, |G_t|, |G_tt|; for catalog kernels they
-    are the closed-form constants.
+    the max-over-t integrals of |G|, |G_t|, |G_tt|: the closed-form
+    constants for catalog kernels, and for constructed ones exact integrals
+    at each t, maximised by a t-scan.
     """
 
     lower: np.ndarray
@@ -214,9 +230,7 @@ class GreenKernel:
     def __post_init__(self):
         object.__setattr__(self, "lower", _read_only(self.lower))
         object.__setattr__(self, "upper", _read_only(self.upper))
-        object.__setattr__(self, "_rows", tuple(
-            (_read_only(d @ self.lower), _read_only(d @ self.upper))
-            for d in _DT_POWERS))
+        object.__setattr__(self, "_rows", _row_tables(self.lower, self.upper))
 
     def tables(self, order=0):
         """(lower, upper) tables of the order-th t-derivative, order 0, 1 or 2;
@@ -301,8 +315,10 @@ def build_general_kernel(bc: BoundaryConditions) -> GreenKernel:
     lower branch adds the particular part (t - s)^2 / 2.  Applying the three
     boundary rows gives a 3x3 linear system whose matrix does not depend on
     s and whose right-hand side is linear in the monomials
-    ((1-s)^2/2, 1-s, 1), so one solve yields the coefficient tables.  Norm
-    and sign metadata are filled in numerically on a grid.
+    ((1-s)^2/2, 1-s, 1), so one solve yields the coefficient tables.  The
+    norms come from ``_exact_norms`` and the signs from a grid probe, both
+    read off the row tables; the kernel is then built once, with its final
+    metadata.
     """
     bc.validate()
     a_mat = np.zeros((3, 3))
@@ -321,13 +337,14 @@ def build_general_kernel(bc: BoundaryConditions) -> GreenKernel:
             "boundary system is numerically singular (condition %.3e)" % cond)
     upper = -np.linalg.solve(a_mat, r_mat) @ _P
     upper[2] *= 0.5  # c3 multiplies t^2 / 2
-    kernel = GreenKernel(lower=upper + _JUMP, upper=upper, sigma_g=0,
-                         sigma_g1=0, m0=0.0, m1=0.0, m2=0.0, bc=bc)
+    lower = upper + _JUMP
+    rows = _row_tables(lower, upper)
     probe = np.linspace(0.0, 1.0, SIGN_PROBE_N + 1)
-    m0, m1, m2 = numeric_kernel_norms(kernel)
-    return replace(kernel, sigma_g=_classify_sign(*kernel.tables(0), probe),
-                   sigma_g1=_classify_sign(*kernel.tables(1), probe),
-                   m0=m0, m1=m1, m2=m2)
+    m0, m1, m2 = _exact_norms(rows)
+    return GreenKernel(lower=lower, upper=upper,
+                       sigma_g=_classify_sign(*rows[0], probe),
+                       sigma_g1=_classify_sign(*rows[1], probe),
+                       m0=m0, m1=m1, m2=m2, bc=bc)
 
 
 def _classify_sign(lower, upper, nodes):
@@ -357,3 +374,56 @@ def numeric_kernel_norms(kernel: GreenKernel, refinement: int = 10):
                 + np.sum(w_up * np.abs(tabulate(up, nodes)), axis=1))
         norms.append(float(np.max(rows)))
     return tuple(norms)
+
+
+def _abs_integral(coef, lo, hi):
+    """Exact integral of |c0 + c1 s + c2 s^2| over [lo, hi], elementwise;
+    coef stacks (c0, c1, c2) on its first axis, each shaped like lo and hi.
+
+    The sum of |P(b_j+1) - P(b_j)|, P the antiderivative, over breakpoints
+    that include every real root in the interval.  The root candidates
+    q / c2 and c0 / q, q = -(c1 + sign(c1) sqrt(disc)) / 2, are stable and
+    cover c2 = 0; without real roots they are harmless extra breakpoints,
+    and nan ones (0 / 0) fall back to lo.
+    """
+    c0, c1, c2 = coef
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = -0.5 * (c1 + np.copysign(
+            np.sqrt(np.maximum(c1 * c1 - 4.0 * c0 * c2, 0.0)), c1))
+        cands = (q / c2, c0 / q)
+    r1, r2 = (np.fmin(np.fmax(r, lo), hi) for r in cands)
+    b = np.stack([lo, np.fmin(r1, r2), np.fmax(r1, r2), hi])
+    p = b * (c0 + b * (0.5 * c1 + b * (c2 / 3.0)))
+    return np.sum(np.abs(np.diff(p, axis=0)), axis=0)
+
+
+def _norms_at(tables, t):
+    """Integrals of |row k| over s in [0, 1] at t = t[k, i], for the three
+    rows k at once; tables is the (3, 2, 3, 3) stack of row tables."""
+    v = np.stack([np.ones_like(t), t, t * t], axis=1)[:, None]
+    coef = np.moveaxis(np.swapaxes(tables, 2, 3) @ v, 2, 0)
+    lo = np.stack([np.zeros_like(t), t], axis=1)
+    hi = np.stack([t, np.ones_like(t)], axis=1)
+    return np.sum(_abs_integral(coef, lo, hi), axis=1)
+
+
+def _exact_norms(rows):
+    """(M0, M1, M2) from the row tables: the exact integral of |row| over s
+    at each t, maximised over t by a scan on NORM_SCAN_N intervals and
+    NORM_ZOOMS rounds of NORM_ZOOM_N intervals around the best point so far.
+
+    The max is a scan estimate, not a certified bound: it cannot exceed the
+    true norm beyond rounding, but a peak narrower than the coarse spacing
+    could be missed.
+    """
+    tables = np.array(rows)
+    step = 1.0 / NORM_SCAN_N
+    t = np.tile(np.linspace(0.0, 1.0, NORM_SCAN_N + 1), (3, 1))
+    vals = _norms_at(tables, t)
+    window = np.linspace(-1.0, 1.0, NORM_ZOOM_N + 1)
+    for _ in range(NORM_ZOOMS):
+        best = t[np.arange(3), np.argmax(vals, axis=1)]
+        t = np.clip(best[:, None] + step * window, 0.0, 1.0)
+        vals = _norms_at(tables, t)
+        step *= 2.0 / NORM_ZOOM_N
+    return tuple(float(m) for m in np.max(vals, axis=1))

@@ -9,8 +9,8 @@ keeps second-order accuracy even though the G_tt row jumps there.
 so row i needs only trapezoid prefix and suffix sums of s^b phi, and the
 three rows G, G1, G2 cost O(n) together.  ``kernel_row_matrix`` writes the
 same rule out as a dense (n+1)^2 weight matrix from the split weights in
-``greens`` (which also uses them for the kernel norms); it is the reference
-the tests hold ``apply_rows`` to.
+``greens`` (which also uses them for the reference numeric norms); it is
+the reference the tests hold ``apply_rows`` to.
 """
 
 from __future__ import annotations

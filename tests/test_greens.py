@@ -1,5 +1,8 @@
 """Kernel tables, closed forms, signs, norms, and the general constructor."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,7 +11,7 @@ from bvp3 import (BoundaryConditions, CaseId, build_general_kernel,
                   case_boundary_conditions, kernel_catalog,
                   numeric_kernel_norms)
 from bvp3.greens import (RankDeficientBC, SingularBoundarySystem,
-                         _classify_sign)
+                         _abs_integral, _classify_sign, _norms_at, evaluate)
 
 ALL_CASES = list(CaseId)
 ANALYTIC_NORMS = {
@@ -195,3 +198,132 @@ def test_nonfinite_coefficients_rejected():
     for bad in (np.nan, np.inf, None, "1"):
         with pytest.raises(ValueError, match="finite numbers"):
             BoundaryConditions(1, 0, 0, 0, 1, 0, 0, 1, bad).validate()
+
+
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_constructed_catalog_norms_exact(case):
+    gen = build_general_kernel(case_boundary_conditions(case))
+    assert_allclose(gen.norms(), ANALYTIC_NORMS[case], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("coef, lo, hi, expected", [
+    ((1.0, -2.0, 0.0), 0.0, 1.0, 0.5),             # linear, root at 1/2
+    ((-3.0, 0.0, 0.0), 0.2, 0.7, 1.5),             # constant
+    ((0.0, 0.0, 0.0), 0.0, 1.0, 0.0),              # identically zero
+    ((0.25, -1.0, 1.0), 0.0, 1.0, 1.0 / 12.0),     # double root (s - 1/2)^2
+    ((-0.25, 1.0, -1.0), 0.0, 1.0, 1.0 / 12.0),
+    ((0.0, 1.0, -1.0), 0.0, 1.0, 1.0 / 6.0),       # roots at both endpoints
+    ((0.14, -0.9, 1.0), 0.2, 0.7, 0.125 / 6.0),    # (s - 0.2)(s - 0.7)
+    ((0.1875, -1.0, 1.0), 0.0, 1.0, 1.0 / 16.0),   # two roots inside
+    ((1.0, 0.0, 1.0), 0.0, 1.0, 4.0 / 3.0),        # no real root
+    ((1.0, -2.0, 1e-310), 0.0, 1.0, 0.5),          # all but linear
+    ((1.0, 0.0, 0.0), 0.4, 0.4, 0.0),              # empty interval
+])
+def test_abs_integral_degenerate_polynomials(coef, lo, hi, expected):
+    got = _abs_integral(np.array(coef), np.float64(lo), np.float64(hi))
+    assert got == pytest.approx(expected, rel=0, abs=1e-15)
+
+
+def test_sign_changing_rows_hand_oracle():
+    # u(0) = u'(0) = u(1) = 0: G <= 0, so M0 = max |u| for u''' = 1, which
+    # is t^2 (1 - t) / 6 and peaks at t = 2/3.  Below the diagonal G_t is
+    # s (2t - 1 - ts), which changes sign at s = 2 - 1/t, and G_tt is
+    # 1 - (1 - s)^2 below and -(1 - s)^2 above; both peak at t = 1
+    k = build_general_kernel(BoundaryConditions(1, 0, 0, 0, 1, 0, 1, 0, 0))
+    assert (k.sigma_g, k.sigma_g1) == (-1, 0)
+    assert_allclose(k.norms(), (2.0 / 81.0, 1.0 / 6.0, 2.0 / 3.0),
+                    rtol=0, atol=1e-15)
+    # at t = 3/4 that side splits at s = 2/3, where its antiderivative
+    # s^2 / 4 - s^3 / 4 is 1/27 against 0.03515625 at s = 3/4
+    low = k.tables(1)[0]
+    coef = low[0] + 0.75 * low[1] + 0.5625 * low[2]
+    lower = _abs_integral(coef, np.float64(0.0), np.float64(0.75))
+    assert lower == pytest.approx(2.0 / 27.0 - 0.03515625, rel=0, abs=1e-16)
+
+
+def _random_kernels(ends, count, seed):
+    """count kernels built from uniform random rows in [-1, 1] with the
+    given endpoint pattern, skipping dependent or singular draws."""
+    rng = np.random.default_rng(seed)
+    kernels = []
+    while len(kernels) < count:
+        bc = BoundaryConditions(*rng.uniform(-1.0, 1.0, 9), endpoints=ends)
+        try:
+            kernels.append(build_general_kernel(bc))
+        except (RankDeficientBC, SingularBoundarySystem):
+            continue
+    return kernels
+
+
+def _scan(kernel, n):
+    """Max over t of the exact per-t integrals at n + 1 equispaced t, and
+    the t where each row attains it."""
+    t = np.tile(np.linspace(0.0, 1.0, n + 1), (3, 1))
+    tables = np.array([kernel.tables(order) for order in range(3)])
+    vals = _norms_at(tables, t)
+    best = np.argmax(vals, axis=1)
+    return vals[np.arange(3), best], t[0, best]
+
+
+def _fine_integrals(kernel, t, n):
+    """Integral of |row k| over s at t[k] for each row k, by the trapezoid
+    on n intervals per side: a reference that never looks for roots."""
+    out = []
+    for order, tk in enumerate(t):
+        total = 0.0
+        for table, lo, hi in zip(kernel.tables(order), (0.0, tk), (tk, 1.0)):
+            v = np.abs(evaluate(table, tk, np.linspace(lo, hi, n + 1)))
+            total += (hi - lo) / n * (np.sum(v) - 0.5 * (v[0] + v[-1]))
+        out.append(total)
+    return np.array(out)
+
+
+ENDPOINTS = list(itertools.product((0, 1), repeat=3))
+# a scan never beats the zoomed max it is compared with by more than
+# rounding: 1.6e-16 relative at most over 304 kernels and a 10^5-interval scan
+SCAN_TOL = 1e-14
+# the trapezoid on 2 * 10^4 intervals a side carries an O(h^2) error, also
+# across the kinks of |.|: at most 2.5e-9 relative over the kernels below
+FINE_N = 20000
+FINE_TOL = 1e-8
+# refinement 10 is a trapezoid at n = 1000, whose O(h^2) gap to the exact
+# norms measured at most 1.0e-6 relative over 304 such kernels and 2.9e-6
+# over 800 perturbed catalog rows, so under 3 h^2
+NUMERIC_TOL = 5e-6
+
+
+@pytest.mark.parametrize("ends", ENDPOINTS)
+def test_exact_norms_over_random_bcs(ends):
+    # 38 kernels per pattern, 304 in all: the norms are not below a scan of
+    # the exact per-t integral, and that integral agrees with the trapezoid
+    # reference at the scan's best t
+    for kernel in _random_kernels(ends, 38, seed=ENDPOINTS.index(ends)):
+        scan, t = _scan(kernel, 4096)
+        assert np.all(np.array(kernel.norms()) >= scan * (1.0 - SCAN_TOL))
+        assert_allclose(scan, _fine_integrals(kernel, t, FINE_N),
+                        rtol=FINE_TOL, atol=0)
+
+
+@pytest.mark.parametrize("ends", ENDPOINTS)
+def test_exact_norms_against_references(ends):
+    for kernel in _random_kernels(ends, 1, seed=100 + ENDPOINTS.index(ends)):
+        exact = np.array(kernel.norms())
+        scan, t = _scan(kernel, 10 ** 5)
+        assert np.all(exact >= scan * (1.0 - SCAN_TOL))
+        assert_allclose(exact, _fine_integrals(kernel, t, FINE_N),
+                        rtol=FINE_TOL, atol=0)
+        numeric = np.array(numeric_kernel_norms(kernel, refinement=10))
+        assert_allclose(exact, numeric, rtol=NUMERIC_TOL, atol=0)
+
+
+def test_constructor_memory_is_small():
+    # the trapezoid norms on (n+1)^2 tables at n = 1000 peaked at 23 MiB;
+    # norms read off the tables peak at about 0.6 MiB
+    bc = BoundaryConditions(1, 0, 0, 0, 1, 0, 1, 0, 0)
+    tracemalloc.start()
+    try:
+        build_general_kernel(bc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
