@@ -3,14 +3,16 @@
 Exit codes: 0 on success, 1 for domain failures (unknown problem, divergence,
 singular boundary systems, missing exact solution), 2 for usage errors.
 All file output is deterministic: floats print with 17 significant digits,
-lines end with LF, and no timestamps or environment state leak in.
+lines end with LF, and no timestamps or environment state leak in.  The solve
+report and the check verdict are JSON documents written from the fields of
+``IterationReport`` and ``ConditionVerdict``, in declaration order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import click
 import numpy as np
@@ -27,6 +29,9 @@ from .quadrature import Grid
 __all__ = ["main", "NoExactSolution", "convergence_study"]
 
 FLOAT_FMT = "%.17g"
+# JSON names of the kernel norms, and record fields kept in memory only
+_JSON_NAMES = {"m0": "M0", "m1": "M1", "m2": "M2"}
+_IN_MEMORY = ("diffs", "history")
 
 
 class NoExactSolution(ValueError):
@@ -82,6 +87,15 @@ def _json_value(v):
     return float(v)
 
 
+def _record_json(record, **lead):
+    """JSON text of the lead keys, then the record's fields in order."""
+    doc = dict(lead)
+    for f in fields(record):
+        if f.name not in _IN_MEMORY:
+            doc[_JSON_NAMES.get(f.name, f.name)] = getattr(record, f.name)
+    return json.dumps(_json_value(doc), indent=2)
+
+
 @click.group()
 def main():
     """Solve third-order two-point boundary value problems by fixed-point
@@ -109,23 +123,8 @@ def cmd_solve(name, h, tol, max_iter, m_override, csv_path, json_path):
     json_path = json_path or "%s_report.json" % name
     _write_text(csv_path, _csv_text("t,u,du,d2u,phi", (
         grid.nodes, state.u, state.y, state.z, state.phi)))
-    doc = {
-        "problem": name,
-        "h": h,
-        "tol": tol,
-        "iterations": report.iterations,
-        "final_diff": report.final_diff,
-        "q": report.q,
-        "p_k": report.p_k,
-        "M0": report.m0,
-        "M1": report.m1,
-        "M2": report.m2,
-        "bound_checks": report.bound_checks,
-        "residual": report.residual,
-        "max_dev_exact": report.max_dev_exact,
-        "converged": report.converged,
-    }
-    _write_text(json_path, json.dumps(_json_value(doc), indent=2) + "\n")
+    _write_text(json_path,
+                _record_json(report, problem=name, h=h, tol=tol) + "\n")
     click.echo("%s: converged in %d sweeps, final update %s; wrote %s and %s"
                % (name, report.iterations, _fmt(report.final_diff),
                   csv_path, json_path))
@@ -147,27 +146,7 @@ def cmd_check(name, m_value, samples, json_path):
         v = verdict(problem, kernel, m_used, samples=samples)
     except (ValueError, NonFiniteValue) as exc:
         raise click.ClickException("%s: %s" % (name, exc))
-    doc = {
-        "problem": name,
-        "M": v.M,
-        "M0": v.m0,
-        "M1": v.m1,
-        "M2": v.m2,
-        "sup_f": v.sup_f,
-        "sup_f_positive": v.sup_f_positive,
-        "sign_ok": v.sign_ok,
-        "L0": v.L0,
-        "L1": v.L1,
-        "L2": v.L2,
-        "lipschitz_source": v.lipschitz_source,
-        "q": v.q,
-        "theorem1_holds": v.theorem1_holds,
-        "theorem2_holds": v.theorem2_holds,
-        "theorem3_holds": v.theorem3_holds,
-        "theorem4_holds": v.theorem4_holds,
-        "predicted_monotonicity": v.predicted_monotonicity,
-    }
-    text = json.dumps(_json_value(doc), indent=2)
+    text = _record_json(v, problem=name)
     click.echo(text)
     if json_path:
         _write_text(json_path, text + "\n")
@@ -240,7 +219,7 @@ def cmd_kernel(case_num, bc_file, h, csv_path, compare_general):
         click.echo("compare_general_gap = %s" % _fmt(gap))
 
 
-def convergence_study(entry, h0, levels, tol=1e-6, max_iter=100):
+def convergence_study(entry, h0, levels, tol=1e-6):
     """Solve at h0, h0/2, ... and log2 the deviation drops.
 
     Returns rows (h, max_dev_exact, order) where the first order is None.
@@ -256,7 +235,7 @@ def convergence_study(entry, h0, levels, tol=1e-6, max_iter=100):
     prev = None
     for lev in range(levels + 1):
         grid = Grid(base.n * 2 ** lev)
-        _, report = solve(entry.problem, grid, tol=tol, max_iter=max_iter)
+        _, report = solve(entry.problem, grid, tol=tol)
         dev = report.max_dev_exact
         order = None if prev is None else math.log2(prev / dev)
         rows.append((grid.h, dev, order))

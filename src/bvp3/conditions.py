@@ -43,6 +43,7 @@ class ConditionVerdict:
     theorem3: theorem1 plus q < 1 (adds uniqueness).
     theorem4: theorem2 plus q < 1.
     predicted_monotonicity follows the sign product sigma(G) sigma(G_t).
+    The fields, in order, are the ``bvp3 check`` JSON (m0..m2 as M0..M2).
     """
 
     M: float

@@ -225,7 +225,6 @@ class GreenKernel:
     m0: float
     m1: float
     m2: float
-    bc: BoundaryConditions
 
     def __post_init__(self):
         object.__setattr__(self, "lower", _read_only(self.lower))
@@ -305,7 +304,7 @@ def kernel_catalog(case: CaseId) -> GreenKernel:
     """Closed-form kernel for one of the four catalog condition sets."""
     lower, upper, (m0, m1, m2), (sg, sg1) = _CATALOG[case]
     return GreenKernel(lower=lower, upper=upper, sigma_g=sg, sigma_g1=sg1,
-                       m0=m0, m1=m1, m2=m2, bc=case_boundary_conditions(case))
+                       m0=m0, m1=m1, m2=m2)
 
 
 def build_general_kernel(bc: BoundaryConditions) -> GreenKernel:
@@ -344,7 +343,7 @@ def build_general_kernel(bc: BoundaryConditions) -> GreenKernel:
     return GreenKernel(lower=lower, upper=upper,
                        sigma_g=_classify_sign(*rows[0], probe),
                        sigma_g1=_classify_sign(*rows[1], probe),
-                       m0=m0, m1=m1, m2=m2, bc=bc)
+                       m0=m0, m1=m1, m2=m2)
 
 
 def _classify_sign(lower, upper, nodes):

@@ -90,8 +90,10 @@ class ProblemSpec:
         if self.M is not None and not 0.0 < self.M < math.inf:
             raise ValueError("M must be positive and finite")
         if self.lipschitz is not None:
-            if len(self.lipschitz) != 3 or any(l < 0.0 for l in self.lipschitz):
-                raise ValueError("lipschitz must be three nonnegative constants")
+            if len(self.lipschitz) != 3 or not all(
+                    0.0 <= l < math.inf for l in self.lipschitz):
+                raise ValueError(
+                    "lipschitz must be three nonnegative finite constants")
         if not isinstance(self.bc, (CaseId, BoundaryConditions)):
             raise ValueError("bc must be a CaseId or BoundaryConditions")
 
@@ -109,23 +111,25 @@ class IterationState:
     u: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    k: int
-    diff: float
 
 
 @dataclass
 class IterationReport:
+    """Figures of one converged run.  In order, its fields are the
+    ``bvp3 solve`` JSON report (m0..m2 as M0..M2), but for diffs (every
+    sweep's update norm) and history (the kept phi iterates), in memory only."""
+
     iterations: int
     final_diff: float
-    converged: bool
     q: float
     p_k: float
     m0: float
     m1: float
     m2: float
     bound_checks: dict
-    max_dev_exact: float
     residual: float
+    max_dev_exact: float
+    converged: bool
     diffs: list = field(default_factory=list)
     history: list = None
 
@@ -177,8 +181,6 @@ def solve(problem: ProblemSpec, grid: Grid, tol: float = 1e-6,
     phi = _eval_f(problem.f, tt, zero, zero, zero)
     history = [phi.copy()] if keep_history else None
     diffs = []
-    converged = False
-    iterations = 0
     for k in range(1, max_iter + 1):
         u, y, z = apply_rows(kernel, grid, phi)
         nxt = _eval_f(problem.f, tt, u, y, z)
@@ -187,18 +189,17 @@ def solve(problem: ProblemSpec, grid: Grid, tol: float = 1e-6,
         phi = nxt
         if keep_history:
             history.append(phi.copy())
-        iterations = k
         if diff <= tol:
-            converged = True
             break
         if k >= 2 and diff > DIVERGENCE_FACTOR * diffs[0]:
             raise Diverged(
                 "update norm %.3e exceeds 10x the initial %.3e" % (diff, diffs[0]))
-    if not converged:
+    else:
         raise MaxIterExceeded(
             "no convergence in %d sweeps (last update %.3e)" % (max_iter, diffs[-1]))
+    iterations = len(diffs)
     u, y, z = apply_rows(kernel, grid, phi)
-    state = IterationState(phi=phi, u=u, y=y, z=z, k=iterations, diff=diffs[-1])
+    state = IterationState(phi=phi, u=u, y=y, z=z)
 
     q = None
     p_k = None
@@ -222,15 +223,15 @@ def solve(problem: ProblemSpec, grid: Grid, tol: float = 1e-6,
     report = IterationReport(
         iterations=iterations,
         final_diff=diffs[-1],
-        converged=converged,
         q=q,
         p_k=p_k,
         m0=kernel.m0,
         m1=kernel.m1,
         m2=kernel.m2,
         bound_checks=bound_checks,
-        max_dev_exact=max_dev,
         residual=res,
+        max_dev_exact=max_dev,
+        converged=True,
         diffs=diffs,
         history=history,
     )

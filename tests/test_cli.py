@@ -8,7 +8,8 @@ import pytest
 from click.testing import CliRunner
 
 from bvp3.cli import NoExactSolution, convergence_study, main
-from bvp3 import Grid, get_problem, solve
+from bvp3 import (Grid, get_problem, kernel_for, list_problems, solve,
+                  verdict)
 
 REPORT_FIELDS = ["problem", "h", "tol", "iterations", "final_diff", "q", "p_k",
                  "M0", "M1", "M2", "bound_checks", "residual", "max_dev_exact",
@@ -130,6 +131,31 @@ def test_check_verdict_json(runner):
     assert doc["q"] == pytest.approx(0.4644522027202773, rel=1e-9)
     assert doc["lipschitz_source"] == "analytic"
     assert doc["predicted_monotonicity"] == "increasing"
+
+
+def _json_names(record):
+    """A result record's fields under their JSON names, without the
+    in-memory sweep lists."""
+    return {("M" + k[1:] if k in ("m0", "m1", "m2") else k): v
+            for k, v in vars(record).items() if k not in ("diffs", "history")}
+
+
+@pytest.mark.parametrize("name", [row[0] for row in list_problems()])
+def test_json_documents_hold_the_records(runner, tmp_path, name):
+    entry = get_problem(name)
+    res = runner.invoke(main, ["check", "--problem", name])
+    assert res.exit_code == 0, res.output
+    v = verdict(entry.problem, kernel_for(entry.problem), entry.reference.M,
+                samples=4096)
+    assert json.loads(res.output) == {"problem": name, **_json_names(v)}
+    _, report = solve(entry.problem, Grid.from_h(0.01))
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        res = runner.invoke(main, ["solve", "--problem", name, "--h", "0.01",
+                                   "--json", "r.json"])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(Path("r.json").read_text())
+    assert doc == {"problem": name, "h": 0.01, "tol": 1e-6,
+                   **_json_names(report)}
 
 
 def test_check_small_radius(runner):

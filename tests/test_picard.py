@@ -1,5 +1,6 @@
 """Fixed-point iteration: counts, bounds, residuals, failure modes."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -152,6 +153,16 @@ def test_max_iter_exceeded():
         solve(entry.problem, GRID, tol=1e-15, max_iter=3)
 
 
+def test_max_iter_boundary():
+    # dqa1 reaches tol on its 5th sweep: a budget of 5 is enough, 4 is not
+    problem = get_problem("dqa1").problem
+    _, report = solve(problem, GRID, max_iter=5)
+    assert report.iterations == len(report.diffs) == 5
+    assert report.converged and report.final_diff == report.diffs[-1] <= 1e-6
+    with pytest.raises(MaxIterExceeded):
+        solve(problem, GRID, max_iter=4)
+
+
 def test_non_finite_rejected():
     p = ProblemSpec(f=lambda t, x, y, z: np.full_like(t, np.nan),
                     bc=CaseId.CASE1)
@@ -165,6 +176,10 @@ def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(f=lambda t, x, y, z: 0.0, bc=CaseId.CASE1,
                     lipschitz=(1.0, -2.0, 0.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="nonnegative finite"):
+            ProblemSpec(f=lambda t, x, y, z: 0.0, bc=CaseId.CASE1,
+                        lipschitz=(bad, 0.0, 0.0))
     with pytest.raises(ValueError):
         ProblemSpec(f=lambda t, x, y, z: 0.0, bc="case1")
 
