@@ -19,8 +19,7 @@ import numpy as np
 
 from .conditions import verdict
 from .corpus import UnknownProblem, get_problem, list_problems
-from .greens import (BoundaryConditions, CaseId, RankDeficientBC,
-                     SingularBoundarySystem, build_general_kernel,
+from .greens import (BoundaryConditions, CaseId, build_general_kernel,
                      _lower_wins, case_boundary_conditions, kernel_catalog)
 from .picard import (Diverged, MaxIterExceeded, NonFiniteValue, kernel_for,
                      solve)
@@ -139,11 +138,9 @@ def cmd_solve(name, h, tol, max_iter, m_override, csv_path, json_path):
               help="Also write the verdict to a file.")
 def cmd_check(name, m_value, samples, json_path):
     """Evaluate the solvability checks and print the verdict as JSON."""
-    entry, problem = _resolved_problem(name, m_value)
-    m_used = m_value if m_value is not None else entry.reference.M
-    kernel = kernel_for(problem)
+    _, problem = _resolved_problem(name, m_value)
     try:
-        v = verdict(problem, kernel, m_used, samples=samples)
+        v = verdict(problem, kernel_for(problem), problem.M, samples=samples)
     except (ValueError, NonFiniteValue) as exc:
         raise click.ClickException("%s: %s" % (name, exc))
     text = _record_json(v, problem=name)
@@ -203,7 +200,7 @@ def cmd_kernel(case_num, bc_file, h, csv_path, compare_general):
     else:
         try:
             kernel = build_general_kernel(_bc_from_file(bc_file))
-        except (RankDeficientBC, SingularBoundarySystem, ValueError) as exc:
+        except ValueError as exc:
             raise click.ClickException(str(exc))
         csv_path = csv_path or "kernel_custom.csv"
     tt = grid.nodes

@@ -1,8 +1,8 @@
 """Machine checks for solvability of u''' = f(t, u, u', u'').
 
-The checks bound f on a box domain whose half-widths are M times the kernel
-row norms, estimate per-argument Lipschitz constants when analytic ones are
-not supplied, and combine them into the weighted sum q.  Sampling uses one
+Every check takes the Green kernel: f is bounded on a box of half-widths M
+times its norms M0..M2, the one-sided box follows its signs, and Lipschitz
+constants, analytic or sampled, give q = ``GreenKernel.q``.  Sampling uses one
 unscrambled five-dimensional Halton point set, drawn in-house and cached per
 sample count, so every verdict is reproducible bit for bit and a verdict
 draws its points at most once: the sup estimates read the first four
@@ -65,11 +65,12 @@ class ConditionVerdict:
     predicted_monotonicity: str
 
 
-def _box(M, norms, positive, sigma_g, sign_product):
+def _box(M, kernel, positive):
     # python floats, so an overflowing box reads inf without a numpy warning
-    r0, r1, r2 = (float(m) * float(M) for m in norms)
+    r0, r1, r2 = (float(m) * float(M) for m in kernel.norms())
     if positive:
-        if sigma_g == 0 or sign_product == 0:
+        sign_product = kernel.sigma_g * kernel.sigma_g1
+        if sign_product == 0:
             raise ValueError("one-sided domain needs a constant-sign kernel")
         # sigma(G) f >= 0 makes u nonnegative whatever the kernel sign,
         # so x is one-sided; the slope range follows sigma(G) sigma(G_t)
@@ -110,13 +111,13 @@ def _halton(samples):
     return pts
 
 
-def estimate_sup_f(problem: ProblemSpec, M: float, norms, domain: str = "full",
-                   samples: int = 4096, sigma_g: int = 1, sign_product: int = 1):
-    """Sampled sup of |f| over the requested domain.
+def estimate_sup_f(problem: ProblemSpec, M: float, kernel: GreenKernel,
+                   domain: str = "full", samples: int = 4096):
+    """Sampled sup of |f| over the requested domain of the kernel's box.
 
-    domain "full" uses the symmetric box; "positive" uses the one-sided box
-    oriented by the kernel signs and additionally reports whether
-    sigma(G) * f stayed nonnegative at every sample.
+    domain "full" uses the box of half-widths M*M0, M*M1, M*M2; "positive"
+    its one-sided part, oriented by the kernel signs (a ValueError if one is
+    0), and also reports whether sigma(G) * f stayed >= 0 at every sample.
     """
     if not 0.0 < M < math.inf:
         raise ValueError("M must be positive and finite")
@@ -125,7 +126,7 @@ def estimate_sup_f(problem: ProblemSpec, M: float, norms, domain: str = "full",
     if domain not in ("full", "positive"):
         raise ValueError("domain must be 'full' or 'positive'")
     positive = domain == "positive"
-    lo, span = _box(M, norms, positive, sigma_g, sign_product)
+    lo, span = _box(M, kernel, positive)
     # scaled in place: a second (4, samples) array costs more than the sums
     pts4 = _halton(samples)[:4] * span
     pts4 += lo
@@ -133,26 +134,26 @@ def estimate_sup_f(problem: ProblemSpec, M: float, norms, domain: str = "full",
     sup = float(np.max(np.abs(vals)))
     sign_ok = None
     if positive:
-        sign_ok = bool(np.all(sigma_g * vals >= -SIGN_SLACK))
+        sign_ok = bool(np.all(kernel.sigma_g * vals >= -SIGN_SLACK))
     return sup, sign_ok
 
 
-def estimate_lipschitz(problem: ProblemSpec, M: float, norms,
-                       samples: int = 4096, sigma_g: int = 1,
-                       sign_product: int = 1):
+def estimate_lipschitz(problem: ProblemSpec, M: float, kernel: GreenKernel,
+                       samples: int = 4096):
     """Per-argument Lipschitz constants of f with provenance.
 
     Analytic constants on the problem pass through untouched.  Otherwise
     each constant is the largest sampled one-coordinate difference quotient,
-    a lower bound of the true constant.
+    a lower bound of the true one, on the kernel's box: one-sided if the
+    problem is positive and the kernel has constant signs, else full.
     """
     if problem.lipschitz is not None:
         l0, l1, l2 = problem.lipschitz
         return (float(l0), float(l1), float(l2)), "analytic"
     if samples < MIN_SAMPLES:
         raise ValueError("need at least %d samples" % MIN_SAMPLES)
-    positive = problem.positive and sigma_g != 0 and sign_product != 0
-    lo, span = _box(M, norms, positive, sigma_g, sign_product)
+    positive = problem.positive and kernel.sigma_g * kernel.sigma_g1 != 0
+    lo, span = _box(M, kernel, positive)
     raw = _halton(samples)
     base = raw[:4] * span
     base += lo
@@ -175,21 +176,14 @@ def estimate_lipschitz(problem: ProblemSpec, M: float, norms,
 def verdict(problem: ProblemSpec, kernel: GreenKernel, M: float,
             samples: int = 4096) -> ConditionVerdict:
     """Evaluate all four solvability checks for one problem and radius."""
-    norms = kernel.norms()
-    m0, m1, m2 = norms
-    sup_full, _ = estimate_sup_f(problem, M, norms, "full", samples)
+    sup_full, _ = estimate_sup_f(problem, M, kernel, "full", samples)
     theorem1 = bool(sup_full <= M)
-    constant_signs = kernel.sigma_g != 0 and kernel.sigma_g1 != 0
-    sign_product = kernel.sigma_g * kernel.sigma_g1
-    (l0, l1, l2), source = estimate_lipschitz(
-        problem, M, norms, samples,
-        sigma_g=kernel.sigma_g, sign_product=sign_product)
-    q = l0 * m0 + l1 * m1 + l2 * m2
+    (l0, l1, l2), source = estimate_lipschitz(problem, M, kernel, samples)
+    q = kernel.q((l0, l1, l2))
     theorem3 = bool(theorem1 and q < 1.0)
-    if constant_signs:
-        sup_pos, sign_ok = estimate_sup_f(
-            problem, M, norms, "positive", samples,
-            sigma_g=kernel.sigma_g, sign_product=sign_product)
+    sign_product = kernel.sigma_g * kernel.sigma_g1
+    if sign_product != 0:
+        sup_pos, sign_ok = estimate_sup_f(problem, M, kernel, "positive", samples)
         theorem2 = bool(sign_ok and sup_pos <= M)
         theorem4 = bool(theorem2 and q < 1.0)
         monotonicity = "increasing" if sign_product > 0 else "decreasing"
@@ -200,7 +194,7 @@ def verdict(problem: ProblemSpec, kernel: GreenKernel, M: float,
         theorem4 = None
         monotonicity = "none"
     return ConditionVerdict(
-        M=float(M), m0=m0, m1=m1, m2=m2,
+        M=float(M), m0=kernel.m0, m1=kernel.m1, m2=kernel.m2,
         sup_f=sup_full, sup_f_positive=sup_pos, sign_ok=sign_ok,
         L0=l0, L1=l1, L2=l2, lipschitz_source=source, q=float(q),
         theorem1_holds=theorem1, theorem2_holds=theorem2,

@@ -60,11 +60,10 @@ class CorpusEntry:
 
 def _entry(name, case, f, M, lipschitz, iterations, bounds, provenance,
            exact=None, max_deviation=None, q_reported=None):
-    norms = kernel_catalog(case).norms()
-    q = sum(l * m for l, m in zip(lipschitz, norms))
     problem = ProblemSpec(f=f, bc=case, M=M, lipschitz=lipschitz,
-                          exact=exact, name=name, positive=True)
-    ref = ReferenceRecord(M=M, lipschitz=lipschitz, q=q,
+                          exact=exact, positive=True)
+    ref = ReferenceRecord(M=M, lipschitz=lipschitz,
+                          q=kernel_catalog(case).q(lipschitz),
                           iterations=iterations, bounds=bounds,
                           max_deviation=max_deviation, q_reported=q_reported,
                           provenance=MappingProxyType(dict(provenance)))

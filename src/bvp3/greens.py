@@ -273,6 +273,11 @@ class GreenKernel:
     def norms(self):
         return (self.m0, self.m1, self.m2)
 
+    def q(self, lipschitz):
+        """Contraction factor L0 M0 + L1 M1 + L2 M2, summed left to right."""
+        l0, l1, l2 = lipschitz
+        return l0 * self.m0 + l1 * self.m1 + l2 * self.m2
+
 
 # case -> (lower table, upper table, (M0, M1, M2), (sigma_g, sigma_g1)), each
 # table written out from the closed form in the comment above it

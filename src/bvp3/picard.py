@@ -83,7 +83,6 @@ class ProblemSpec:
     M: float = None
     lipschitz: tuple = None
     exact: object = None
-    name: str = None
     positive: bool = False
 
     def __post_init__(self):
@@ -204,18 +203,14 @@ def solve(problem: ProblemSpec, grid: Grid, tol: float = 1e-6,
     q = None
     p_k = None
     if problem.lipschitz is not None:
-        l0, l1, l2 = problem.lipschitz
-        q = l0 * kernel.m0 + l1 * kernel.m1 + l2 * kernel.m2
+        q = kernel.q(problem.lipschitz)
         if q < 1.0:
             p_k = apriori_bound(q, diffs[0], iterations)
     bound_checks = None
     if problem.M is not None:
-        m_val = problem.M
         bound_checks = {
-            "u": bool(np.max(np.abs(u)) <= kernel.m0 * m_val + BOUND_SLACK),
-            "du": bool(np.max(np.abs(y)) <= kernel.m1 * m_val + BOUND_SLACK),
-            "d2u": bool(np.max(np.abs(z)) <= kernel.m2 * m_val + BOUND_SLACK),
-        }
+            key: bool(np.max(np.abs(v)) <= m * problem.M + BOUND_SLACK)
+            for key, v, m in zip(("u", "du", "d2u"), (u, y, z), kernel.norms())}
     max_dev = None
     if problem.exact is not None:
         max_dev = float(np.max(np.abs(u - np.asarray(problem.exact(tt), dtype=float))))

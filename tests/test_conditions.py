@@ -13,12 +13,16 @@ from dataclasses import replace
 
 import bvp3
 from bvp3 import conditions
-from bvp3 import (BoundaryConditions, CaseId, ProblemSpec, build_general_kernel,
-                  estimate_lipschitz, estimate_sup_f, get_problem, kernel_catalog,
-                  kernel_for, verdict)
+from bvp3 import (BoundaryConditions, CaseId, Grid, ProblemSpec,
+                  build_general_kernel, estimate_lipschitz, estimate_sup_f,
+                  get_problem, kernel_catalog, kernel_for, list_problems, solve,
+                  verdict)
 
 CASE1 = kernel_catalog(CaseId.CASE1)
-NORMS1 = CASE1.norms()
+# u(0) = u'(0) = u(1) = 0 has a slope kernel that changes sign
+SIGN_CHANGING_BC = BoundaryConditions(1, 0, 0, 0, 1, 0, 1, 0, 0)
+SIGN_CHANGING = build_general_kernel(SIGN_CHANGING_BC)
+CORPUS = [name for name, _, _ in list_problems()]
 
 
 def test_halton_leading_values():
@@ -71,7 +75,7 @@ def test_cli_import_loads_no_scipy():
 def test_sup_estimate_exponential():
     entry = get_problem("yao-feng-7")
     true_sup = math.exp(1.1 / 12.0)
-    sup, sign_ok = estimate_sup_f(entry.problem, 1.1, NORMS1, "full")
+    sup, sign_ok = estimate_sup_f(entry.problem, 1.1, CASE1, "full")
     assert sign_ok is None
     assert sup <= true_sup + 1e-12
     assert sup == pytest.approx(true_sup, abs=1e-3)
@@ -79,21 +83,20 @@ def test_sup_estimate_exponential():
 
 def test_sup_estimate_positive_domain_flags_sign():
     entry = get_problem("yao-feng-7")
-    sup, sign_ok = estimate_sup_f(entry.problem, 1.1, NORMS1, "positive",
-                                  sigma_g=-1, sign_product=1)
+    sup, sign_ok = estimate_sup_f(entry.problem, 1.1, CASE1, "positive")
     assert sign_ok is True
     assert sup <= math.exp(1.1 / 12.0) + 1e-12
 
 
 def test_sup_estimate_zero_function():
     p = ProblemSpec(f=lambda t, x, y, z: 0.0 * t, bc=CaseId.CASE1)
-    sup, _ = estimate_sup_f(p, 1.0, NORMS1, "full")
+    sup, _ = estimate_sup_f(p, 1.0, CASE1, "full")
     assert sup == 0.0
 
 
 def test_sup_estimate_monotone_in_radius():
     entry = get_problem("yao-feng-7")
-    sups = [estimate_sup_f(entry.problem, m, NORMS1, "full")[0]
+    sups = [estimate_sup_f(entry.problem, m, CASE1, "full")[0]
             for m in (0.5, 1.0, 2.0, 4.0)]
     assert sups == sorted(sups)
 
@@ -102,19 +105,20 @@ def test_sup_estimate_validation():
     entry = get_problem("yao-feng-7")
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="M must be positive and finite"):
-            estimate_sup_f(entry.problem, bad, NORMS1)
+            estimate_sup_f(entry.problem, bad, CASE1)
     with pytest.raises(ValueError, match="sampling box overflows"):
-        estimate_sup_f(entry.problem, 1e308, (1.0, 1.0, 1.0))
+        # M2 * M = 1e308 on CASE2, so the full box spans 2e308 = inf
+        estimate_sup_f(entry.problem, 1e308, kernel_catalog(CaseId.CASE2))
     with pytest.raises(ValueError):
-        estimate_sup_f(entry.problem, 1.0, NORMS1, samples=100)
+        estimate_sup_f(entry.problem, 1.0, CASE1, samples=100)
     with pytest.raises(ValueError):
-        estimate_sup_f(entry.problem, 1.0, NORMS1, domain="sideways")
+        estimate_sup_f(entry.problem, 1.0, CASE1, domain="sideways")
 
 
 def test_lipschitz_analytic_passthrough():
     entry = get_problem("bai-3.5")
     (l0, l1, l2), source = estimate_lipschitz(entry.problem, 0.835,
-                                              kernel_for(entry.problem).norms())
+                                              kernel_for(entry.problem))
     assert source == "analytic"
     assert l0 == pytest.approx(math.exp(0.835 / 3.0) / 4.0, rel=1e-12)
     assert l1 == pytest.approx(0.835 / 4.0, rel=1e-12)
@@ -123,7 +127,7 @@ def test_lipschitz_analytic_passthrough():
 
 def test_lipschitz_sampled_constant_function():
     p = ProblemSpec(f=lambda t, x, y, z: 2.0 + 0.0 * t, bc=CaseId.CASE1)
-    ls, source = estimate_lipschitz(p, 1.0, NORMS1)
+    ls, source = estimate_lipschitz(p, 1.0, CASE1)
     assert source == "sampled"
     assert ls == (0.0, 0.0, 0.0)
 
@@ -133,10 +137,7 @@ def test_lipschitz_sampled_below_analytic(name):
     entry = get_problem(name)
     kernel = kernel_for(entry.problem)
     stripped = replace(entry.problem, lipschitz=None)
-    sampled, source = estimate_lipschitz(
-        stripped, entry.reference.M, kernel.norms(),
-        sigma_g=kernel.sigma_g,
-        sign_product=kernel.sigma_g * kernel.sigma_g1)
+    sampled, source = estimate_lipschitz(stripped, entry.reference.M, kernel)
     assert source == "sampled"
     analytic = entry.reference.lipschitz
     for got, ref in zip(sampled, analytic):
@@ -183,11 +184,9 @@ def test_verdict_non_contractive_q():
 
 
 def test_verdict_without_constant_sign_kernel():
-    # u(0) = u'(0) = u(1) = 0 has a slope kernel that changes sign
-    bc = BoundaryConditions(1, 0, 0, 0, 1, 0, 1, 0, 0)
-    kernel = build_general_kernel(bc)
+    kernel = SIGN_CHANGING
     assert kernel.sigma_g1 == 0
-    p = ProblemSpec(f=lambda t, x, y, z: -np.exp(x), bc=bc)
+    p = ProblemSpec(f=lambda t, x, y, z: -np.exp(x), bc=SIGN_CHANGING_BC)
     v = verdict(p, kernel, 1.0)
     assert v.theorem2_holds is None and v.theorem4_holds is None
     assert v.predicted_monotonicity == "none"
@@ -198,7 +197,64 @@ def test_verdict_without_constant_sign_kernel():
 def test_one_sided_domain_needs_signs():
     entry = get_problem("yao-feng-7")
     with pytest.raises(ValueError):
-        estimate_sup_f(entry.problem, 1.0, NORMS1, "positive", sigma_g=0)
+        estimate_sup_f(entry.problem, 1.0, SIGN_CHANGING, "positive")
+
+
+def test_sup_estimate_reads_sigma_g_off_the_kernel():
+    # f = -e^x < 0: sigma(G) f >= 0 holds for CASE1's sigma(G) = -1 only
+    entry = get_problem("yao-feng-7")
+    assert kernel_catalog(CaseId.CASE3).sigma_g == 1
+    _, on_case1 = estimate_sup_f(entry.problem, 1.1, CASE1, "positive")
+    _, on_case3 = estimate_sup_f(entry.problem, 1.1,
+                                 kernel_catalog(CaseId.CASE3), "positive")
+    assert on_case1 is True
+    assert on_case3 is False
+
+
+def test_lipschitz_positive_falls_back_to_full_box():
+    # a one-sided domain needs constant signs, so positive=True samples the
+    # full box on a kernel whose slope row changes sign
+    assert SIGN_CHANGING.sigma_g * SIGN_CHANGING.sigma_g1 == 0
+
+    def f(t, x, y, z):
+        return -np.exp(x) + y * z / 4.0 + t * y
+
+    one_sided = ProblemSpec(f=f, bc=SIGN_CHANGING_BC, positive=True)
+    full = ProblemSpec(f=f, bc=SIGN_CHANGING_BC, positive=False)
+    got = estimate_lipschitz(one_sided, 2.0, SIGN_CHANGING)
+    assert got == estimate_lipschitz(full, 2.0, SIGN_CHANGING)
+    assert got[1] == "sampled"
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_q_is_written_once(name):
+    # solve, verdict, the corpus record and the kernel give one q, bit for
+    # bit, summed left to right as L0 M0 + L1 M1 + L2 M2
+    entry = get_problem(name)
+    kernel = kernel_for(entry.problem)
+    q = kernel.q(entry.problem.lipschitz)
+    l0, l1, l2 = entry.reference.lipschitz
+    assert q == l0 * kernel.m0 + l1 * kernel.m1 + l2 * kernel.m2
+    assert entry.reference.q == q
+    assert verdict(entry.problem, kernel, entry.reference.M).q == q
+    _, report = solve(entry.problem, Grid(100), kernel=kernel)
+    assert report.q == q
+
+
+def test_q_sums_left_to_right():
+    # on CASE2 these constants give a q whose last bit depends on the order
+    # of the sum, so a second formula elsewhere would show
+    kernel = kernel_catalog(CaseId.CASE2)
+    lipschitz = (0.1, 0.1, 0.05)
+    l0, l1, l2 = lipschitz
+    q = kernel.q(lipschitz)
+    assert q == l0 * kernel.m0 + l1 * kernel.m1 + l2 * kernel.m2
+    assert q != l2 * kernel.m2 + l1 * kernel.m1 + l0 * kernel.m0
+    p = ProblemSpec(f=lambda t, x, y, z: 1.0 + 0.1 * x + 0.1 * y + 0.05 * z,
+                    bc=CaseId.CASE2, lipschitz=lipschitz)
+    assert verdict(p, kernel, 1.0).q == q
+    _, report = solve(p, Grid(100), kernel=kernel)
+    assert report.q == q
 
 
 def test_verdict_then_solve_converges():
