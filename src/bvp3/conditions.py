@@ -6,8 +6,12 @@ constants, analytic or sampled, give q = ``GreenKernel.q``.  Sampling uses one
 unscrambled five-dimensional Halton point set, drawn in-house and cached per
 sample count, so every verdict is reproducible bit for bit and a verdict
 draws its points at most once: the sup estimates read the first four
-coordinates, the Lipschitz quotients all five.  Sampled suprema are lower bounds
-of the true ones; the verdict records them as estimates, not certificates.
+coordinates, the Lipschitz quotients all five.  A verdict evaluates f once
+per point of each box it samples (the full box, and the one-sided box when
+the kernel has constant signs), in fixed blocks of BLOCK = 8192 points, and
+its results are bit for bit those of one whole-array pass.  Sampled suprema
+are lower bounds of the true ones; the verdict records them as estimates,
+not certificates.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ __all__ = [
 SIGN_SLACK = 1e-12
 MIN_SAMPLES = 1000
 DIFF_FLOOR = 1e-9
+# points per block of a sweep: 64 KiB per coordinate, below glibc's initial
+# 128 KiB mmap threshold, so a sweep's arrays are reused from the heap
+BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -111,6 +118,54 @@ def _halton(samples):
     return pts
 
 
+def _sweep(problem, M, kernel, positive, samples, lipschitz):
+    """One pass over the kernel's box, one-sided if `positive`: the sampled
+    sup of |f|, whether sigma(G) f >= -SIGN_SLACK held (None on the full box)
+    and, if `lipschitz`, the largest one-coordinate difference quotients
+    against the same base values (else zeros).  f runs once per point, one
+    block of BLOCK points at a time; max is exact and f pointwise, so the
+    results are bit for bit those of one whole-array pass.
+    """
+    lo, span = _box(M, kernel, positive)
+    raw = _halton(samples)
+    low, high = math.inf, -math.inf
+    ls = [0.0, 0.0, 0.0]
+    for start in range(0, samples, BLOCK):
+        block = raw[:, start:start + BLOCK]
+        base = block[:4] * span
+        base += lo
+        vals = _eval_f(problem.f, *base)
+        low, high = min(low, vals.min()), max(high, vals.max())
+        if not lipschitz:
+            continue
+        for axis in (1, 2, 3):
+            alt = lo[axis] + block[4] * span[axis]
+            delta = np.abs(alt - base[axis])
+            mask = delta > DIFF_FLOOR
+            moved = list(base)
+            moved[axis] = alt
+            quot = _eval_f(problem.f, *moved)
+            quot -= vals
+            np.abs(quot, out=quot)
+            np.divide(quot, delta, out=quot, where=mask)
+            ls[axis - 1] = max(ls[axis - 1], quot.max(initial=0.0, where=mask))
+    # 0.0 first, so an f that is zero everywhere gives 0.0, never -0.0
+    sup = float(max(0.0, high, -low))
+    sign_ok = None
+    if positive:
+        # sigma(G) is +-1, so the least of sigma(G) f is one of these exactly
+        least = low if kernel.sigma_g > 0 else -high
+        sign_ok = bool(least >= -SIGN_SLACK)
+    return sup, sign_ok, tuple(map(float, ls))
+
+
+def _check_sampling(M, samples):
+    if not 0.0 < M < math.inf:
+        raise ValueError("M must be positive and finite")
+    if samples < MIN_SAMPLES:
+        raise ValueError("need at least %d samples" % MIN_SAMPLES)
+
+
 def estimate_sup_f(problem: ProblemSpec, M: float, kernel: GreenKernel,
                    domain: str = "full", samples: int = 4096):
     """Sampled sup of |f| over the requested domain of the kernel's box.
@@ -119,22 +174,11 @@ def estimate_sup_f(problem: ProblemSpec, M: float, kernel: GreenKernel,
     its one-sided part, oriented by the kernel signs (a ValueError if one is
     0), and also reports whether sigma(G) * f stayed >= 0 at every sample.
     """
-    if not 0.0 < M < math.inf:
-        raise ValueError("M must be positive and finite")
-    if samples < MIN_SAMPLES:
-        raise ValueError("need at least %d samples" % MIN_SAMPLES)
+    _check_sampling(M, samples)
     if domain not in ("full", "positive"):
         raise ValueError("domain must be 'full' or 'positive'")
-    positive = domain == "positive"
-    lo, span = _box(M, kernel, positive)
-    # scaled in place: a second (4, samples) array costs more than the sums
-    pts4 = _halton(samples)[:4] * span
-    pts4 += lo
-    vals = _eval_f(problem.f, *pts4)
-    sup = float(np.max(np.abs(vals)))
-    sign_ok = None
-    if positive:
-        sign_ok = bool(np.all(kernel.sigma_g * vals >= -SIGN_SLACK))
+    sup, sign_ok, _ = _sweep(problem, M, kernel, domain == "positive",
+                             samples, False)
     return sup, sign_ok
 
 
@@ -153,46 +197,41 @@ def estimate_lipschitz(problem: ProblemSpec, M: float, kernel: GreenKernel,
     if samples < MIN_SAMPLES:
         raise ValueError("need at least %d samples" % MIN_SAMPLES)
     positive = problem.positive and kernel.sigma_g * kernel.sigma_g1 != 0
-    lo, span = _box(M, kernel, positive)
-    raw = _halton(samples)
-    base = raw[:4] * span
-    base += lo
-    at_base = _eval_f(problem.f, *base)
-    out = []
-    for axis in (1, 2, 3):
-        alt = lo[axis] + raw[4] * span[axis]
-        delta = np.abs(alt - base[axis])
-        mask = delta > DIFF_FLOOR
-        if np.any(mask):
-            moved = list(base)
-            moved[axis] = alt
-            quot = np.abs(_eval_f(problem.f, *moved) - at_base)
-            out.append(float(np.max(quot[mask] / delta[mask])))
-        else:
-            out.append(0.0)
-    return tuple(out), "sampled"
+    _, _, ls = _sweep(problem, M, kernel, positive, samples, True)
+    return ls, "sampled"
 
 
 def verdict(problem: ProblemSpec, kernel: GreenKernel, M: float,
             samples: int = 4096) -> ConditionVerdict:
-    """Evaluate all four solvability checks for one problem and radius."""
-    sup_full, _ = estimate_sup_f(problem, M, kernel, "full", samples)
-    theorem1 = bool(sup_full <= M)
-    (l0, l1, l2), source = estimate_lipschitz(problem, M, kernel, samples)
-    q = kernel.q((l0, l1, l2))
-    theorem3 = bool(theorem1 and q < 1.0)
+    """Evaluate all four solvability checks for one problem and radius.
+
+    Sweeps the full box, then the one-sided box if the kernel has constant
+    signs; sampled quotients ride on the box ``estimate_lipschitz`` uses.
+    """
+    _check_sampling(M, samples)
     sign_product = kernel.sigma_g * kernel.sigma_g1
+    sampled = problem.lipschitz is None
+    one_sided = problem.positive and sign_product != 0
+    sup_full, _, lipschitz = _sweep(problem, M, kernel, False, samples,
+                                    sampled and not one_sided)
+    sup_pos = sign_ok = theorem2 = theorem4 = None
     if sign_product != 0:
-        sup_pos, sign_ok = estimate_sup_f(problem, M, kernel, "positive", samples)
+        sup_pos, sign_ok, ls_pos = _sweep(problem, M, kernel, True, samples,
+                                          sampled and one_sided)
+        if one_sided:
+            lipschitz = ls_pos
+    source = "sampled"
+    if not sampled:
+        lipschitz, source = estimate_lipschitz(problem, M, kernel, samples)
+    l0, l1, l2 = lipschitz
+    q = kernel.q(lipschitz)
+    theorem1 = bool(sup_full <= M)
+    theorem3 = bool(theorem1 and q < 1.0)
+    monotonicity = "none"
+    if sign_product != 0:
         theorem2 = bool(sign_ok and sup_pos <= M)
         theorem4 = bool(theorem2 and q < 1.0)
         monotonicity = "increasing" if sign_product > 0 else "decreasing"
-    else:
-        sup_pos = None
-        sign_ok = None
-        theorem2 = None
-        theorem4 = None
-        monotonicity = "none"
     return ConditionVerdict(
         M=float(M), m0=kernel.m0, m1=kernel.m1, m2=kernel.m2,
         sup_f=sup_full, sup_f_positive=sup_pos, sign_ok=sign_ok,

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +18,15 @@ from bvp3 import (BoundaryConditions, CaseId, Grid, ProblemSpec,
                   build_general_kernel, estimate_lipschitz, estimate_sup_f,
                   get_problem, kernel_catalog, kernel_for, list_problems, solve,
                   verdict)
+from bvp3.picard import _eval_f
 
 CASE1 = kernel_catalog(CaseId.CASE1)
 # u(0) = u'(0) = u(1) = 0 has a slope kernel that changes sign
 SIGN_CHANGING_BC = BoundaryConditions(1, 0, 0, 0, 1, 0, 1, 0, 0)
 SIGN_CHANGING = build_general_kernel(SIGN_CHANGING_BC)
 CORPUS = [name for name, _, _ in list_problems()]
+# one full block of conditions.BLOCK points and a partial one
+MIXED_BLOCKS = 10000
 
 
 def test_halton_leading_values():
@@ -89,9 +93,13 @@ def test_sup_estimate_positive_domain_flags_sign():
 
 
 def test_sup_estimate_zero_function():
-    p = ProblemSpec(f=lambda t, x, y, z: 0.0 * t, bc=CaseId.CASE1)
-    sup, _ = estimate_sup_f(p, 1.0, CASE1, "full")
-    assert sup == 0.0
+    # -0.0 * t is -0.0 at every point; the sup of |f| is still +0.0
+    for zero in (0.0, -0.0):
+        p = ProblemSpec(f=lambda t, x, y, z: zero * t, bc=CaseId.CASE1)
+        v = verdict(p, CASE1, 1.0, samples=MIXED_BLOCKS)
+        sups = [estimate_sup_f(p, 1.0, CASE1, d)[0] for d in ("full", "positive")]
+        for sup in sups + [v.sup_f, v.sup_f_positive]:
+            assert sup == 0.0 and math.copysign(1.0, sup) == 1.0
 
 
 def test_sup_estimate_monotone_in_radius():
@@ -264,3 +272,131 @@ def test_verdict_then_solve_converges():
     assert v.theorem3_holds
     _, report = solve(entry.problem, Grid(100))
     assert report.converged
+
+
+# The whole-array estimators that the blocked sweep replaced, kept as the
+# reference: one f call over every point of a box, then the maxima.
+def _reference_sup_f(problem, M, kernel, domain, samples):
+    positive = domain == "positive"
+    lo, span = conditions._box(M, kernel, positive)
+    pts4 = conditions._halton(samples)[:4] * span
+    pts4 += lo
+    vals = _eval_f(problem.f, *pts4)
+    sup = float(np.max(np.abs(vals)))
+    sign_ok = None
+    if positive:
+        sign_ok = bool(np.all(kernel.sigma_g * vals >= -conditions.SIGN_SLACK))
+    return sup, sign_ok
+
+
+def _reference_lipschitz(problem, M, kernel, samples):
+    positive = problem.positive and kernel.sigma_g * kernel.sigma_g1 != 0
+    lo, span = conditions._box(M, kernel, positive)
+    raw = conditions._halton(samples)
+    base = raw[:4] * span
+    base += lo
+    at_base = _eval_f(problem.f, *base)
+    out = []
+    for axis in (1, 2, 3):
+        alt = lo[axis] + raw[4] * span[axis]
+        delta = np.abs(alt - base[axis])
+        mask = delta > conditions.DIFF_FLOOR
+        if np.any(mask):
+            moved = list(base)
+            moved[axis] = alt
+            quot = np.abs(_eval_f(problem.f, *moved) - at_base)
+            out.append(float(np.max(quot[mask] / delta[mask])))
+        else:
+            out.append(0.0)
+    return tuple(out), "sampled"
+
+
+def _assert_matches_whole_array(problem, kernel, M, samples):
+    signs = kernel.sigma_g * kernel.sigma_g1 != 0
+    full = _reference_sup_f(problem, M, kernel, "full", samples)
+    assert estimate_sup_f(problem, M, kernel, "full", samples) == full
+    pos = (None, None)
+    if signs:
+        pos = _reference_sup_f(problem, M, kernel, "positive", samples)
+        assert estimate_sup_f(problem, M, kernel, "positive", samples) == pos
+    ls, source = _reference_lipschitz(problem, M, kernel, samples)
+    assert estimate_lipschitz(problem, M, kernel, samples) == (ls, source)
+    v = verdict(problem, kernel, M, samples)
+    assert (v.sup_f, v.sup_f_positive, v.sign_ok) == (full[0], *pos)
+    assert ((v.L0, v.L1, v.L2), v.lipschitz_source) == (ls, source)
+    assert v.q == kernel.q(ls)
+
+
+# 8191..8193 put a block boundary one point either side of the last point
+BOUNDARY_SAMPLES = [1000, 8191, 8192, 8193, 65536]
+
+
+@pytest.mark.parametrize("samples", BOUNDARY_SAMPLES)
+@pytest.mark.parametrize("name", CORPUS)
+def test_blocked_sweep_matches_whole_array(name, samples):
+    entry = get_problem(name)
+    kernel = kernel_for(entry.problem)
+    m = entry.reference.M
+    drawn = np.random.default_rng(18).uniform(0.8, 1.0) * m
+    for M in (m, 0.9 * m, drawn, 0.5):
+        problem = replace(entry.problem, M=M, lipschitz=None)
+        _assert_matches_whole_array(problem, kernel, M, samples)
+
+
+@pytest.mark.parametrize("samples", BOUNDARY_SAMPLES)
+def test_blocked_sweep_matches_whole_array_sign_changing(samples):
+    # no one-sided box: the sampled quotients use the full box
+    def f(t, x, y, z):
+        return -np.exp(x) + y * z / 4.0 + t * y
+
+    problem = ProblemSpec(f=f, bc=SIGN_CHANGING_BC, positive=True)
+    for M in (0.5, 2.0):
+        _assert_matches_whole_array(problem, SIGN_CHANGING, M, samples)
+
+
+def _counting(problem):
+    points = []
+
+    def f(t, x, y, z):
+        points.append(np.size(t))
+        return problem.f(t, x, y, z)
+
+    return replace(problem, f=f), points
+
+
+@pytest.mark.parametrize("sampled, kernel, evaluations", [
+    # sup on the full box; sup, sign and the base of the quotients on the
+    # one-sided box; three moved axes
+    (True, kernel_catalog(CaseId.CASE2), 5),
+    # sup on the full box and on the one-sided box
+    (False, kernel_catalog(CaseId.CASE2), 2),
+    # sup and the base of the quotients on the full box; three moved axes
+    (True, SIGN_CHANGING, 4),
+])
+def test_verdict_evaluates_f_once_per_box_point(sampled, kernel, evaluations):
+    entry = get_problem("dqa1")
+    problem = entry.problem
+    if sampled:
+        problem = replace(problem, lipschitz=None)
+    counted, points = _counting(problem)
+    v = verdict(counted, kernel, entry.reference.M, samples=MIXED_BLOCKS)
+    assert v.lipschitz_source == ("sampled" if sampled else "analytic")
+    assert sum(points) == evaluations * MIXED_BLOCKS
+    assert max(points) <= conditions.BLOCK
+
+
+def test_sampled_verdict_memory_is_small():
+    # whole-array sampling at 65536 points peaked at 5.6 MiB of fresh
+    # temporaries; the blocked sweep peaks at about 1 MiB
+    entry = get_problem("dqa1")
+    problem = replace(entry.problem, lipschitz=None)
+    kernel = kernel_for(problem)
+    conditions._halton(65536)
+    tracemalloc.start()
+    try:
+        v = verdict(problem, kernel, entry.reference.M, samples=65536)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.lipschitz_source == "sampled"
+    assert peak < 1.5 * 2 ** 20
