@@ -2,9 +2,9 @@
 
 from .greens import (BoundaryConditions, CaseId, GreenKernel, RankDeficientBC,
                      SingularBoundarySystem, build_general_kernel,
-                     case_boundary_conditions, kernel_catalog,
-                     numeric_kernel_norms)
-from .quadrature import Grid, apply_rows, kernel_row_matrix
+                     case_boundary_conditions, kernel_catalog)
+from .quadrature import (Grid, apply_rows, kernel_row_matrix,
+                         numeric_kernel_norms)
 from .picard import (Diverged, GridTooCoarse, IterationReport, IterationState,
                      MaxIterExceeded, NonFiniteValue, ProblemSpec,
                      QNotContractive, apriori_bound, kernel_for, residual,

@@ -20,10 +20,10 @@ import numpy as np
 from .conditions import verdict
 from .corpus import UnknownProblem, get_problem, list_problems
 from .greens import (BoundaryConditions, CaseId, build_general_kernel,
-                     _lower_wins, case_boundary_conditions, kernel_catalog)
+                     case_boundary_conditions, kernel_catalog)
 from .picard import (Diverged, MaxIterExceeded, NonFiniteValue, kernel_for,
                      solve)
-from .quadrature import Grid
+from .quadrature import Grid, tabulate
 
 __all__ = ["main", "NoExactSolution", "convergence_study"]
 
@@ -78,21 +78,13 @@ def _csv_text(header, columns):
     return "\n".join(lines) + "\n"
 
 
-def _json_value(v):
-    if v is None or isinstance(v, (bool, int, str)):
-        return v
-    if isinstance(v, dict):
-        return {k: _json_value(x) for k, x in v.items()}
-    return float(v)
-
-
 def _record_json(record, **lead):
     """JSON text of the lead keys, then the record's fields in order."""
     doc = dict(lead)
     for f in fields(record):
         if f.name not in _IN_MEMORY:
             doc[_JSON_NAMES.get(f.name, f.name)] = getattr(record, f.name)
-    return json.dumps(_json_value(doc), indent=2)
+    return json.dumps(doc, indent=2)
 
 
 @click.group()
@@ -172,7 +164,8 @@ def _bc_from_file(path):
 
 def _kernel_rows(kernel, nodes):
     """G, G_t and G_tt at every node pair (t_i, s_j), lower branch on s <= t."""
-    return [_lower_wins(low, up, nodes)
+    below = np.tri(nodes.size, dtype=bool)
+    return [np.where(below, tabulate(low, nodes), tabulate(up, nodes))
             for low, up in map(kernel.tables, range(3))]
 
 

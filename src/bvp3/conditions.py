@@ -194,8 +194,7 @@ def estimate_lipschitz(problem: ProblemSpec, M: float, kernel: GreenKernel,
     if problem.lipschitz is not None:
         l0, l1, l2 = problem.lipschitz
         return (float(l0), float(l1), float(l2)), "analytic"
-    if samples < MIN_SAMPLES:
-        raise ValueError("need at least %d samples" % MIN_SAMPLES)
+    _check_sampling(M, samples)
     positive = problem.positive and kernel.sigma_g * kernel.sigma_g1 != 0
     _, _, ls = _sweep(problem, M, kernel, positive, samples, True)
     return ls, "sampled"

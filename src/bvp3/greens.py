@@ -11,20 +11,17 @@ Representation: on each side of the diagonal G is a polynomial of degree at
 most 2 in t and in s, so a kernel is two read-only 3x3 coefficient tables,
 ``lower`` and ``upper``, whose entry [a, b] multiplies t^a s^b.  The rows
 G_t and G_tt come from differentiating a table in t.  ``evaluate`` is the one
-pointwise evaluator; ``tabulate`` gives a table's values at every pair of
-grid nodes as V @ C @ V.T, with V the Vandermonde matrix [1, x, x^2].
+pointwise evaluator; the module holds no grid code (tabulation and the
+trapezoid weights live in ``quadrature``).
 
-Norms of constructed kernels are exact at each t: at fixed t each side of a
-row is a quadratic in s, so its integral of |.| over [0, t] or [t, 1] is a
-sum of antiderivative differences between its real roots.  The max over t
-is a scan estimate (a coarse t-scan refined around its best point), not a
+Signs and norms of constructed kernels come from one pass over the row
+tables: at fixed t each side of a row is a quadratic in s, which its real
+roots split into pieces of constant sign, each integral an antiderivative
+difference.  The pieces' absolute values add up to the exact integral of
+|row| at that t, and their signs give the row's sign, so both are exact in
+s.  In t they rest on a scan: the signs on the coarse scan, and the max over
+t on that scan refined around its best point, an estimate and not a
 certified bound.
-
-Each grid rule is written once, here: ``_lower_wins`` picks a branch at every
-node pair for the sign probe and the ``bvp3 kernel`` dump, and
-``_split_weights`` builds the split-diagonal trapezoid weights behind the
-reference ``numeric_kernel_norms`` and the dense weight matrices of
-``quadrature.kernel_row_matrix``.
 
 Branch convention: the "lower" table applies on s <= t, the "upper" one on
 t <= s.  Both branches are polynomials defined on the whole square, so either
@@ -51,16 +48,12 @@ __all__ = [
     "case_boundary_conditions",
     "kernel_catalog",
     "build_general_kernel",
-    "numeric_kernel_norms",
     "evaluate",
-    "tabulate",
 ]
 
 SIGN_TOL = 1e-12
 CONDITION_LIMIT = 1e12
-SIGN_PROBE_N = 100  # sign classification grid
-NORM_BASE_N = 100  # numeric_kernel_norms grid per unit of refinement
-NORM_SCAN_N = 512  # intervals of the coarse t-scan for the exact norms
+NORM_SCAN_N = 512  # intervals of the coarse t-scan for the signs and norms
 NORM_ZOOM_N = 64  # intervals of each zoom window, two previous steps wide
 NORM_ZOOMS = 3
 
@@ -165,34 +158,6 @@ def evaluate(table, t, s):
     return out if out.ndim else float(out)
 
 
-def tabulate(table, nodes):
-    """Matrix of table values at (t_i, s_j) for every pair of nodes."""
-    x = np.asarray(nodes, dtype=float)
-    v = np.stack([np.ones_like(x), x, x * x], axis=1)
-    return v @ table @ v.T
-
-
-def _lower_wins(lower, upper, nodes):
-    """Row values at every node pair (t_i, s_j): the lower table on s_j <= t_i,
-    the upper one above the diagonal."""
-    below = np.tri(len(nodes), dtype=bool)
-    return np.where(below, tabulate(lower, nodes), tabulate(upper, nodes))
-
-
-def _split_weights(n):
-    """Trapezoid weights (w_lower, w_upper) on the n-interval unit grid, split
-    at the diagonal: row i of w_lower integrates over [0, t_i] and row i of
-    w_upper over [t_i, 1], so each side uses its own table and the jump in
-    G_tt never straddles a subinterval.  w_upper is w_lower turned half a
-    turn."""
-    h = 1.0 / n
-    w_low = np.tril(np.full((n + 1, n + 1), h))
-    w_low[:, 0] *= 0.5
-    w_low[np.diag_indices(n + 1)] *= 0.5
-    w_low[0, :] = 0.0
-    return w_low, w_low[::-1, ::-1]
-
-
 def _read_only(table):
     c = np.array(table, dtype=float)
     c.setflags(write=False)
@@ -212,10 +177,12 @@ class GreenKernel:
 
     lower and upper are read-only 3x3 tables of G on s <= t and on t <= s;
     entry [a, b] multiplies t^a s^b.  sigma_g and sigma_g1 are -1, 0 or +1;
-    zero means the row has no constant sign on the square.  m0, m1, m2 are
-    the max-over-t integrals of |G|, |G_t|, |G_tt|: the closed-form
-    constants for catalog kernels, and for constructed ones exact integrals
-    at each t, maximised by a t-scan.
+    zero means the row has no constant sign on the square.  For constructed
+    kernels a sign is exact in s and read on the coarse t-scan: +-1 when no
+    piece of the row between its real roots in s has an area beyond SIGN_TOL
+    on the other side of zero.  m0, m1, m2 are the max-over-t integrals of
+    |G|, |G_t|, |G_tt|: the closed-form constants for catalog kernels, and
+    for constructed ones exact integrals at each t, maximised by a t-scan.
     """
 
     lower: np.ndarray
@@ -320,9 +287,12 @@ def build_general_kernel(bc: BoundaryConditions) -> GreenKernel:
     boundary rows gives a 3x3 linear system whose matrix does not depend on
     s and whose right-hand side is linear in the monomials
     ((1-s)^2/2, 1-s, 1), so one solve yields the coefficient tables.  The
-    norms come from ``_exact_norms`` and the signs from a grid probe, both
-    read off the row tables; the kernel is then built once, with its final
-    metadata.
+    signs and norms come from one pass over the row tables: at each t of a
+    scan each side of a row splits at its real roots in s into pieces of
+    constant sign.  sigma_g (sigma_g1) is +-1 when no piece of G (G_t) has
+    an area beyond SIGN_TOL on the other side of zero on the coarse scan,
+    else 0; M0..M2 are the pieces' absolute values summed, maximised over t.
+    The kernel is then built once, with its final metadata.
     """
     bc.validate()
     a_mat = np.zeros((3, 3))
@@ -342,53 +312,23 @@ def build_general_kernel(bc: BoundaryConditions) -> GreenKernel:
     upper = -np.linalg.solve(a_mat, r_mat) @ _P
     upper[2] *= 0.5  # c3 multiplies t^2 / 2
     lower = upper + _JUMP
-    rows = _row_tables(lower, upper)
-    probe = np.linspace(0.0, 1.0, SIGN_PROBE_N + 1)
-    m0, m1, m2 = _exact_norms(rows)
-    return GreenKernel(lower=lower, upper=upper,
-                       sigma_g=_classify_sign(*rows[0], probe),
-                       sigma_g1=_classify_sign(*rows[1], probe),
+    (sg, sg1), (m0, m1, m2) = _signs_and_norms(_row_tables(lower, upper))
+    return GreenKernel(lower=lower, upper=upper, sigma_g=sg, sigma_g1=sg1,
                        m0=m0, m1=m1, m2=m2)
 
 
-def _classify_sign(lower, upper, nodes):
-    """Sign of one kernel row from its values on the grid, lower branch on
-    the diagonal: +1 or -1 when the row keeps that sign, 0 when it changes.
-    A row that never leaves [-tol, tol] counts as +1."""
-    vals = _lower_wins(lower, upper, nodes)
-    if np.all(vals >= -SIGN_TOL):
-        return 1
-    if np.all(vals <= SIGN_TOL):
-        return -1
-    return 0
+def _pieces(coef, lo, hi):
+    """Signed integrals of c0 + c1 s + c2 s^2 over [lo, hi] between its real
+    roots, elementwise: coef stacks (c0, c1, c2) on its first axis, each
+    shaped like lo and hi, and the three pieces stack on the first axis of
+    the result.
 
-
-def numeric_kernel_norms(kernel: GreenKernel, refinement: int = 10):
-    """Quadrature values of (M0, M1, M2) on a grid refined by ``refinement``:
-    the largest row sum of w_lower * |lower| + w_upper * |upper|."""
-    if refinement < 1:
-        raise ValueError("refinement must be at least 1")
-    n = NORM_BASE_N * refinement
-    nodes = np.linspace(0.0, 1.0, n + 1)
-    w_low, w_up = _split_weights(n)
-    norms = []
-    for low, up in map(kernel.tables, range(3)):
-        # summing each side on its own keeps fewer (n+1)^2 temporaries alive
-        rows = (np.sum(w_low * np.abs(tabulate(low, nodes)), axis=1)
-                + np.sum(w_up * np.abs(tabulate(up, nodes)), axis=1))
-        norms.append(float(np.max(rows)))
-    return tuple(norms)
-
-
-def _abs_integral(coef, lo, hi):
-    """Exact integral of |c0 + c1 s + c2 s^2| over [lo, hi], elementwise;
-    coef stacks (c0, c1, c2) on its first axis, each shaped like lo and hi.
-
-    The sum of |P(b_j+1) - P(b_j)|, P the antiderivative, over breakpoints
-    that include every real root in the interval.  The root candidates
-    q / c2 and c0 / q, q = -(c1 + sign(c1) sqrt(disc)) / 2, are stable and
-    cover c2 = 0; without real roots they are harmless extra breakpoints,
-    and nan ones (0 / 0) fall back to lo.
+    Piece j is P(b_j+1) - P(b_j), P the antiderivative, over breakpoints
+    that include every real root in the interval, so the quadratic keeps one
+    sign on each piece and the sum of |piece| is its integral of |.|.  The
+    root candidates q / c2 and c0 / q, q = -(c1 + sign(c1) sqrt(disc)) / 2,
+    are stable and cover c2 = 0; without real roots they are harmless extra
+    breakpoints, and nan ones (0 / 0) fall back to lo.
     """
     c0, c1, c2 = coef
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -398,36 +338,48 @@ def _abs_integral(coef, lo, hi):
     r1, r2 = (np.fmin(np.fmax(r, lo), hi) for r in cands)
     b = np.stack([lo, np.fmin(r1, r2), np.fmax(r1, r2), hi])
     p = b * (c0 + b * (0.5 * c1 + b * (c2 / 3.0)))
-    return np.sum(np.abs(np.diff(p, axis=0)), axis=0)
+    return np.diff(p, axis=0)
 
 
-def _norms_at(tables, t):
-    """Integrals of |row k| over s in [0, 1] at t = t[k, i], for the three
-    rows k at once; tables is the (3, 2, 3, 3) stack of row tables."""
+def _row_pieces(tables, t):
+    """Pieces of row k on [0, t] and on [t, 1] at t = t[k, i], for the three
+    rows k at once, stacked on (piece, row, side, i), and the integrals of
+    |row k| over [0, 1] they add up to; tables is the (3, 2, 3, 3) stack of
+    row tables."""
     v = np.stack([np.ones_like(t), t, t * t], axis=1)[:, None]
     coef = np.moveaxis(np.swapaxes(tables, 2, 3) @ v, 2, 0)
     lo = np.stack([np.zeros_like(t), t], axis=1)
     hi = np.stack([t, np.ones_like(t)], axis=1)
-    return np.sum(_abs_integral(coef, lo, hi), axis=1)
+    pieces = _pieces(coef, lo, hi)
+    # summed over the pieces first, then over the two sides
+    return pieces, np.sum(np.sum(np.abs(pieces), axis=0), axis=1)
 
 
-def _exact_norms(rows):
-    """(M0, M1, M2) from the row tables: the exact integral of |row| over s
-    at each t, maximised over t by a scan on NORM_SCAN_N intervals and
-    NORM_ZOOMS rounds of NORM_ZOOM_N intervals around the best point so far.
+def _signs_and_norms(rows):
+    """(sigma_g, sigma_g1) and (M0, M1, M2) from the row tables, in one pass.
 
-    The max is a scan estimate, not a certified bound: it cannot exceed the
-    true norm beyond rounding, but a peak narrower than the coarse spacing
-    could be missed.
+    A sign is +1 (or -1) when no piece of the row, on either side, falls
+    below -SIGN_TOL (rises above SIGN_TOL) at any t of the coarse scan, and
+    0 otherwise; a row whose pieces all stay in [-SIGN_TOL, SIGN_TOL] counts
+    as +1.  The quadratic keeps one sign on each piece, so the signs are
+    exact in s, and SIGN_TOL bounds piece areas, not values.
+
+    A norm is the exact integral of |row| over s at each t, maximised over t
+    by the coarse scan on NORM_SCAN_N intervals and NORM_ZOOMS rounds of
+    NORM_ZOOM_N intervals around the best point so far.  The max is a scan
+    estimate, not a certified bound: it cannot exceed the true norm beyond
+    rounding, but a peak narrower than the coarse spacing could be missed.
     """
     tables = np.array(rows)
     step = 1.0 / NORM_SCAN_N
     t = np.tile(np.linspace(0.0, 1.0, NORM_SCAN_N + 1), (3, 1))
-    vals = _norms_at(tables, t)
+    pieces, vals = _row_pieces(tables, t)
+    signs = tuple(1 if np.all(p >= -SIGN_TOL) else -1 if np.all(p <= SIGN_TOL)
+                  else 0 for p in (pieces[:, 0], pieces[:, 1]))
     window = np.linspace(-1.0, 1.0, NORM_ZOOM_N + 1)
     for _ in range(NORM_ZOOMS):
         best = t[np.arange(3), np.argmax(vals, axis=1)]
         t = np.clip(best[:, None] + step * window, 0.0, 1.0)
-        vals = _norms_at(tables, t)
+        _, vals = _row_pieces(tables, t)
         step *= 2.0 / NORM_ZOOM_N
-    return tuple(float(m) for m in np.max(vals, axis=1))
+    return signs, tuple(float(m) for m in np.max(vals, axis=1))

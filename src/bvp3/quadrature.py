@@ -8,9 +8,14 @@ keeps second-order accuracy even though the G_tt row jumps there.
 ``apply_rows`` is how the sweeps apply it: each branch is a polynomial in s,
 so row i needs only trapezoid prefix and suffix sums of s^b phi, and the
 three rows G, G1, G2 cost O(n) together.  ``kernel_row_matrix`` writes the
-same rule out as a dense (n+1)^2 weight matrix from the split weights in
-``greens`` (which also uses them for the reference numeric norms); it is
-the reference the tests hold ``apply_rows`` to.
+same rule out as a dense (n+1)^2 weight matrix from the split weights; it is
+the reference the tests hold ``apply_rows`` to.  ``numeric_kernel_norms``
+reads the same weights for quadrature values of M0..M2, the reference for
+the exact norms of ``greens``.
+
+Every grid rule of the package is here: the split weights, and
+``tabulate``, a table's values at every pair of grid nodes as V @ C @ V.T
+with V the Vandermonde matrix [1, x, x^2].
 """
 
 from __future__ import annotations
@@ -20,15 +25,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .greens import GreenKernel, _split_weights, tabulate
+from .greens import GreenKernel
 
 __all__ = [
     "Grid",
     "apply_rows",
     "kernel_row_matrix",
+    "numeric_kernel_norms",
+    "tabulate",
 ]
 
 NODE_TOL = 1e-9
+NORM_BASE_N = 100  # numeric_kernel_norms grid per unit of refinement
 
 
 @dataclass(frozen=True)
@@ -62,6 +70,27 @@ class Grid:
         return cls(n)
 
 
+def tabulate(table, nodes):
+    """Matrix of table values at (t_i, s_j) for every pair of nodes."""
+    x = np.asarray(nodes, dtype=float)
+    v = np.stack([np.ones_like(x), x, x * x], axis=1)
+    return v @ table @ v.T
+
+
+def _split_weights(n):
+    """Trapezoid weights (w_lower, w_upper) on the n-interval unit grid, split
+    at the diagonal: row i of w_lower integrates over [0, t_i] and row i of
+    w_upper over [t_i, 1], so each side uses its own table and the jump in
+    G_tt never straddles a subinterval.  w_upper is w_lower turned half a
+    turn."""
+    h = 1.0 / n
+    w_low = np.tril(np.full((n + 1, n + 1), h))
+    w_low[:, 0] *= 0.5
+    w_low[np.diag_indices(n + 1)] *= 0.5
+    w_low[0, :] = 0.0
+    return w_low, w_low[::-1, ::-1]
+
+
 _ROW_KEYS = ("G", "G1", "G2")
 
 
@@ -73,6 +102,22 @@ def kernel_row_matrix(kernel: GreenKernel, row: str, grid: Grid) -> np.ndarray:
     low, up = kernel.tables(_ROW_KEYS.index(row))
     w_low, w_up = _split_weights(grid.n)
     return w_low * tabulate(low, grid.nodes) + w_up * tabulate(up, grid.nodes)
+
+
+def numeric_kernel_norms(kernel: GreenKernel, refinement: int = 10):
+    """Quadrature values of (M0, M1, M2) on a grid refined by ``refinement``:
+    the largest row sum of w_lower * |lower| + w_upper * |upper|."""
+    if refinement < 1:
+        raise ValueError("refinement must be at least 1")
+    grid = Grid(NORM_BASE_N * refinement)
+    w_low, w_up = _split_weights(grid.n)
+    norms = []
+    for low, up in map(kernel.tables, range(3)):
+        # summing each side on its own keeps fewer (n+1)^2 temporaries alive
+        rows = (np.sum(w_low * np.abs(tabulate(low, grid.nodes)), axis=1)
+                + np.sum(w_up * np.abs(tabulate(up, grid.nodes)), axis=1))
+        norms.append(float(np.max(rows)))
+    return tuple(norms)
 
 
 def apply_rows(kernel: GreenKernel, grid: Grid, phi):

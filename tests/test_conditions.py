@@ -140,6 +140,20 @@ def test_lipschitz_sampled_constant_function():
     assert ls == (0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [-7.5, 0.0, math.nan, math.inf])
+def test_lipschitz_sampled_validates_radius(bad):
+    # a negative M used to give the constants of |M|, and nan a misleading
+    # "sampling box overflows"
+    entry = get_problem("dqa1")
+    kernel = kernel_for(entry.problem)
+    stripped = replace(entry.problem, lipschitz=None)
+    with pytest.raises(ValueError, match="M must be positive and finite"):
+        estimate_lipschitz(stripped, bad, kernel)
+    # analytic constants pass through without looking at M
+    _, source = estimate_lipschitz(entry.problem, bad, kernel)
+    assert source == "analytic"
+
+
 @pytest.mark.parametrize("name", ["dqa1", "dqa", "bai-3.5"])
 def test_lipschitz_sampled_below_analytic(name):
     entry = get_problem(name)

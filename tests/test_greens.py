@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from numpy.testing import assert_allclose
 from bvp3 import (BoundaryConditions, CaseId, build_general_kernel,
                   case_boundary_conditions, kernel_catalog,
                   numeric_kernel_norms)
-from bvp3.greens import (RankDeficientBC, SingularBoundarySystem,
-                         _abs_integral, _classify_sign, _norms_at, evaluate)
+from bvp3.greens import (SIGN_TOL, RankDeficientBC, SingularBoundarySystem,
+                         _pieces, _row_pieces, _signs_and_norms, evaluate)
+from bvp3.quadrature import tabulate
 
 ALL_CASES = list(CaseId)
 ANALYTIC_NORMS = {
@@ -98,11 +100,23 @@ def test_numeric_norms_close(case):
     assert_allclose(num, ANALYTIC_NORMS[case], atol=1e-4)
 
 
+def _probe_sign(lower, upper, n=100):
+    """Sign of one row from its values at every node pair of an n-interval
+    grid, lower branch on s <= t: the grid rule the exact signs replaced."""
+    nodes = np.linspace(0.0, 1.0, n + 1)
+    vals = np.where(np.tri(n + 1, dtype=bool),
+                    tabulate(lower, nodes), tabulate(upper, nodes))
+    if np.all(vals >= -SIGN_TOL):
+        return 1
+    if np.all(vals <= SIGN_TOL):
+        return -1
+    return 0
+
+
 @pytest.mark.parametrize("case", ALL_CASES)
 def test_sign_patterns(case):
     k = kernel_catalog(case)
-    probe = np.linspace(0.0, 1.0, 101)
-    sampled = tuple(_classify_sign(*k.tables(order), probe) for order in (0, 1))
+    sampled = tuple(_probe_sign(*k.tables(order)) for order in (0, 1))
     assert sampled == SIGNS[case]
     assert (k.sigma_g, k.sigma_g1) == SIGNS[case]
     # every catalog case predicts an increasing positive solution
@@ -118,7 +132,21 @@ def test_case1_nonpositive_everywhere():
 
 def test_zero_row_counts_as_positive():
     zero = np.zeros((3, 3))
-    assert _classify_sign(zero, zero, np.linspace(0.0, 1.0, 101)) == 1
+    signs, norms = _signs_and_norms(((zero, zero),) * 3)
+    assert signs == (1, 1)
+    assert norms == (0.0, 0.0, 0.0)
+
+
+def test_sign_change_between_probe_nodes():
+    # (s - 0.0051)(s - 0.0059) dips below zero between the probe nodes 0 and
+    # 0.01, where it is 3.0e-5 and 2.0e-5, so the probe reads +1; its
+    # negative piece has area -0.0008^3 / 6 = -8.5e-11, beyond SIGN_TOL
+    table = np.zeros((3, 3))
+    table[0] = (0.0051 * 0.0059, -0.011, 1.0)
+    assert _probe_sign(table, table) == 1
+    signs, _ = _signs_and_norms(((table, table),) * 3)
+    assert signs == (0, 0)
+    assert _signs_and_norms(((-table, -table),) * 3)[0] == (0, 0)
 
 
 @pytest.mark.parametrize("case", ALL_CASES)
@@ -220,7 +248,8 @@ def test_constructed_catalog_norms_exact(case):
     ((1.0, 0.0, 0.0), 0.4, 0.4, 0.0),              # empty interval
 ])
 def test_abs_integral_degenerate_polynomials(coef, lo, hi, expected):
-    got = _abs_integral(np.array(coef), np.float64(lo), np.float64(hi))
+    pieces = _pieces(np.array(coef), np.float64(lo), np.float64(hi))
+    got = np.sum(np.abs(pieces))
     assert got == pytest.approx(expected, rel=0, abs=1e-15)
 
 
@@ -237,7 +266,7 @@ def test_sign_changing_rows_hand_oracle():
     # s^2 / 4 - s^3 / 4 is 1/27 against 0.03515625 at s = 3/4
     low = k.tables(1)[0]
     coef = low[0] + 0.75 * low[1] + 0.5625 * low[2]
-    lower = _abs_integral(coef, np.float64(0.0), np.float64(0.75))
+    lower = np.sum(np.abs(_pieces(coef, np.float64(0.0), np.float64(0.75))))
     assert lower == pytest.approx(2.0 / 27.0 - 0.03515625, rel=0, abs=1e-16)
 
 
@@ -260,7 +289,7 @@ def _scan(kernel, n):
     the t where each row attains it."""
     t = np.tile(np.linspace(0.0, 1.0, n + 1), (3, 1))
     tables = np.array([kernel.tables(order) for order in range(3)])
-    vals = _norms_at(tables, t)
+    _, vals = _row_pieces(tables, t)
     best = np.argmax(vals, axis=1)
     return vals[np.arange(3), best], t[0, best]
 
@@ -290,6 +319,38 @@ FINE_TOL = 1e-8
 # norms measured at most 1.0e-6 relative over 304 such kernels and 2.9e-6
 # over 800 perturbed catalog rows, so under 3 h^2
 NUMERIC_TOL = 5e-6
+
+
+def _perturbed_kernels(count, seed):
+    """count kernels built from catalog rows plus normal noise of scale 0.1,
+    the catalog cases in turn, skipping dependent or singular draws."""
+    rng = np.random.default_rng(seed)
+    kernels = []
+    while len(kernels) < count:
+        base = case_boundary_conditions(ALL_CASES[len(kernels) % 4])
+        coef = np.array(astuple(base)[:9], dtype=float)
+        coef += rng.normal(0.0, 0.1, 9)
+        try:
+            kernels.append(build_general_kernel(
+                BoundaryConditions(*coef, endpoints=base.endpoints)))
+        except (RankDeficientBC, SingularBoundarySystem):
+            continue
+    return kernels
+
+
+def test_exact_signs_match_grid_probe():
+    # 40 random kernels per endpoint pattern and 200 perturbed catalog rows:
+    # the signs read off the pieces agree with a 101^2 probe of the values
+    kernels = [k for i, ends in enumerate(ENDPOINTS)
+               for k in _random_kernels(ends, 40, seed=200 + i)]
+    kernels += _perturbed_kernels(200, seed=300)
+    patterns = set()
+    for k in kernels:
+        probed = tuple(_probe_sign(*k.tables(order)) for order in (0, 1))
+        assert (k.sigma_g, k.sigma_g1) == probed
+        patterns.add(probed)
+    # every sign of each row occurs, so the check is not vacuous
+    assert {p[0] for p in patterns} == {p[1] for p in patterns} == {-1, 0, 1}
 
 
 @pytest.mark.parametrize("ends", ENDPOINTS)

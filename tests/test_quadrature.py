@@ -12,7 +12,8 @@ from numpy.testing import assert_allclose
 from bvp3 import (BoundaryConditions, CaseId, Grid, RankDeficientBC,
                   SingularBoundarySystem, apply_rows, build_general_kernel,
                   kernel_catalog, kernel_row_matrix, numeric_kernel_norms)
-from bvp3.greens import _split_weights, evaluate
+from bvp3.greens import evaluate
+from bvp3.quadrature import _split_weights
 
 GRID = Grid(100)
 CASE1 = kernel_catalog(CaseId.CASE1)
