@@ -150,6 +150,9 @@ def _bc_from_file(path):
     missing = [k for k in keys if k not in raw]
     if missing:
         raise click.ClickException("bc file lacks %s" % ", ".join(missing))
+    unknown = sorted(set(raw) - set(keys) - {"endpoints"})
+    if unknown:
+        raise click.ClickException("bc file has unknown %s" % ", ".join(unknown))
     # JSON true/false would pass as numbers
     bad = [k for k in keys
            if isinstance(raw[k], bool) or not isinstance(raw[k], (int, float))]

@@ -3,16 +3,17 @@
 For each source point s in (0, 1) the kernel t -> G(t, s) solves G''' = 0
 away from the diagonal, satisfies the three boundary functionals, and is C^1
 across t = s with a unit jump in the second t-derivative.  The module carries
-closed forms for the four standard condition sets, a constructor for arbitrary
-full-rank coefficient sets, and the sign and norm metadata that the iteration
-and the solvability checks consume.
+boundary rows and closed-form constants for the four standard condition sets,
+a constructor for arbitrary full-rank coefficient sets, and the sign and norm
+metadata that the iteration and the solvability checks consume.
 
 Representation: on each side of the diagonal G is a polynomial of degree at
-most 2 in t and in s, so a kernel is two read-only 3x3 coefficient tables,
-``lower`` and ``upper``, whose entry [a, b] multiplies t^a s^b.  The rows
-G_t and G_tt come from differentiating a table in t.  ``evaluate`` is the one
-pointwise evaluator; the module holds no grid code (tabulation and the
-trapezoid weights live in ``quadrature``).
+most 2 in t and in s, so a kernel is one read-only 3x3 coefficient table,
+``upper``, whose entry [a, b] multiplies t^a s^b; the lower one, derived and
+never stored, adds (t - s)^2 / 2.  Every table, catalog ones included, comes
+from one 3x3 solve.  The rows G_t and G_tt come from differentiating a table
+in t.  ``evaluate`` is the one pointwise evaluator; the module holds no grid
+code (tabulation and the trapezoid weights live in ``quadrature``).
 
 Signs and norms of constructed kernels come from one pass over the row
 tables: at fixed t each side of a row is a quadratic in s, which its real
@@ -134,17 +135,28 @@ class BoundaryConditions:
             raise RankDeficientBC("boundary rows are linearly dependent")
 
 
-_CASE_BCS = {
-    CaseId.CASE1: BoundaryConditions(1, 0, 0, 0, 1, 0, 0, 1, 0, endpoints=(0, 0, 1)),
-    CaseId.CASE2: BoundaryConditions(1, 0, 0, 0, 1, 0, 0, 0, 1, endpoints=(0, 0, 1)),
-    CaseId.CASE3: BoundaryConditions(1, 0, 0, 0, 1, 0, 0, 0, 1, endpoints=(0, 1, 1)),
-    CaseId.CASE4: BoundaryConditions(1, 0, 0, 0, 0, 1, 0, 1, 0, endpoints=(0, 0, 1)),
+# case -> (boundary rows a1..g3 and endpoints, (M0, M1, M2),
+# (sigma_g, sigma_g1)), the constants read off the closed form of G in the
+# comment above each
+_CATALOG = {
+    # s t^2/2 - s t + s^2/2 on s <= t, (s - 1) t^2/2 on t <= s
+    CaseId.CASE1: (BoundaryConditions(1, 0, 0, 0, 1, 0, 0, 1, 0, (0, 0, 1)),
+                   (1.0 / 12.0, 1.0 / 8.0, 1.0 / 2.0), (-1, -1)),
+    # s^2/2 - s t on s <= t, -t^2/2 on t <= s
+    CaseId.CASE2: (BoundaryConditions(1, 0, 0, 0, 1, 0, 0, 0, 1, (0, 0, 1)),
+                   (1.0 / 3.0, 1.0 / 2.0, 1.0), (-1, -1)),
+    # s^2/2 on s <= t, s t - t^2/2 on t <= s
+    CaseId.CASE3: (BoundaryConditions(1, 0, 0, 0, 1, 0, 0, 0, 1, (0, 1, 1)),
+                   (1.0 / 6.0, 1.0 / 2.0, 1.0), (1, 1)),
+    # t^2/2 - t + s^2/2 on s <= t, s t - t on t <= s
+    CaseId.CASE4: (BoundaryConditions(1, 0, 0, 0, 0, 1, 0, 1, 0, (0, 0, 1)),
+                   (1.0 / 3.0, 1.0 / 2.0, 1.0), (-1, -1)),
 }
 
 
 def case_boundary_conditions(case: CaseId) -> BoundaryConditions:
     """Boundary coefficient rows for a catalog case."""
-    return _CASE_BCS[case]
+    return _CATALOG[case][0]
 
 
 def evaluate(table, t, s):
@@ -164,28 +176,30 @@ def _read_only(table):
     return c
 
 
-def _row_tables(lower, upper):
-    """Read-only (lower, upper) tables of G, G_t and G_tt, one pair each."""
+def _row_tables(upper):
+    """Read-only (lower, upper) tables of G, G_t and G_tt, one pair each; the
+    lower table is upper + (t - s)^2 / 2, formed here and nowhere else."""
+    lower = upper + _JUMP
     return tuple((_read_only(d @ lower), _read_only(d @ upper))
                  for d in _DT_POWERS)
 
 
 @dataclass(frozen=True, eq=False)
 class GreenKernel:
-    """Piecewise-quadratic kernel as two coefficient tables, plus solver
+    """Piecewise-quadratic kernel as one coefficient table, plus solver
     metadata.
 
-    lower and upper are read-only 3x3 tables of G on s <= t and on t <= s;
-    entry [a, b] multiplies t^a s^b.  sigma_g and sigma_g1 are -1, 0 or +1;
-    zero means the row has no constant sign on the square.  For constructed
-    kernels a sign is exact in s and read on the coarse t-scan: +-1 when no
-    piece of the row between its real roots in s has an area beyond SIGN_TOL
-    on the other side of zero.  m0, m1, m2 are the max-over-t integrals of
-    |G|, |G_t|, |G_tt|: the closed-form constants for catalog kernels, and
-    for constructed ones exact integrals at each t, maximised by a t-scan.
+    upper is the read-only 3x3 table of G on t <= s, entry [a, b] multiplying
+    t^a s^b; ``tables`` derives the one on s <= t, upper + (t - s)^2 / 2.
+    sigma_g and sigma_g1 are -1, 0 or +1; zero means the row has no constant
+    sign on the square.  For constructed kernels a sign is exact in s and
+    read on the coarse t-scan: +-1 when no piece of the row between its real
+    roots in s has an area beyond SIGN_TOL on the other side of zero.  m0,
+    m1, m2 are the max-over-t integrals of |G|, |G_t|, |G_tt|: the
+    closed-form constants for catalog kernels, and for constructed ones
+    exact integrals at each t, maximised by a t-scan.
     """
 
-    lower: np.ndarray
     upper: np.ndarray
     sigma_g: int
     sigma_g1: int
@@ -194,9 +208,8 @@ class GreenKernel:
     m2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", _read_only(self.lower))
         object.__setattr__(self, "upper", _read_only(self.upper))
-        object.__setattr__(self, "_rows", _row_tables(self.lower, self.upper))
+        object.__setattr__(self, "_rows", _row_tables(self.upper))
 
     def tables(self, order=0):
         """(lower, upper) tables of the order-th t-derivative, order 0, 1 or 2;
@@ -246,55 +259,15 @@ class GreenKernel:
         return l0 * self.m0 + l1 * self.m1 + l2 * self.m2
 
 
-# case -> (lower table, upper table, (M0, M1, M2), (sigma_g, sigma_g1)), each
-# table written out from the closed form in the comment above it
-_CATALOG = {
-    # s t^2/2 - s t + s^2/2 on s <= t, (s - 1) t^2/2 on t <= s
-    CaseId.CASE1: (
-        ((0.0, 0.0, 0.5), (0.0, -1.0, 0.0), (0.0, 0.5, 0.0)),
-        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (-0.5, 0.5, 0.0)),
-        (1.0 / 12.0, 1.0 / 8.0, 1.0 / 2.0), (-1, -1)),
-    # s^2/2 - s t on s <= t, -t^2/2 on t <= s
-    CaseId.CASE2: (
-        ((0.0, 0.0, 0.5), (0.0, -1.0, 0.0), (0.0, 0.0, 0.0)),
-        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (-0.5, 0.0, 0.0)),
-        (1.0 / 3.0, 1.0 / 2.0, 1.0), (-1, -1)),
-    # s^2/2 on s <= t, s t - t^2/2 on t <= s
-    CaseId.CASE3: (
-        ((0.0, 0.0, 0.5), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
-        ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-0.5, 0.0, 0.0)),
-        (1.0 / 6.0, 1.0 / 2.0, 1.0), (1, 1)),
-    # t^2/2 - t + s^2/2 on s <= t, s t - t on t <= s
-    CaseId.CASE4: (
-        ((0.0, 0.0, 0.5), (-1.0, 0.0, 0.0), (0.5, 0.0, 0.0)),
-        ((0.0, 0.0, 0.0), (-1.0, 1.0, 0.0), (0.0, 0.0, 0.0)),
-        (1.0 / 3.0, 1.0 / 2.0, 1.0), (-1, -1)),
-}
-
-
-def kernel_catalog(case: CaseId) -> GreenKernel:
-    """Closed-form kernel for one of the four catalog condition sets."""
-    lower, upper, (m0, m1, m2), (sg, sg1) = _CATALOG[case]
-    return GreenKernel(lower=lower, upper=upper, sigma_g=sg, sigma_g1=sg1,
-                       m0=m0, m1=m1, m2=m2)
-
-
-def build_general_kernel(bc: BoundaryConditions) -> GreenKernel:
-    """Construct the kernel for arbitrary full-rank boundary coefficients.
+def _upper_table(bc: BoundaryConditions) -> np.ndarray:
+    """Upper table of the kernel for the boundary rows bc, from one 3x3 solve.
 
     The upper branch is the quadratic c1(s) + c2(s) t + c3(s) t^2 / 2 and the
     lower branch adds the particular part (t - s)^2 / 2.  Applying the three
     boundary rows gives a 3x3 linear system whose matrix does not depend on
     s and whose right-hand side is linear in the monomials
-    ((1-s)^2/2, 1-s, 1), so one solve yields the coefficient tables.  The
-    signs and norms come from one pass over the row tables: at each t of a
-    scan each side of a row splits at its real roots in s into pieces of
-    constant sign.  sigma_g (sigma_g1) is +-1 when no piece of G (G_t) has
-    an area beyond SIGN_TOL on the other side of zero on the coarse scan,
-    else 0; M0..M2 are the pieces' absolute values summed, maximised over t.
-    The kernel is then built once, with its final metadata.
+    ((1-s)^2/2, 1-s, 1), so one solve yields the table.
     """
-    bc.validate()
     a_mat = np.zeros((3, 3))
     r_mat = np.zeros((3, 3))
     for i, (a, b, g, e) in enumerate(bc.rows()):
@@ -311,9 +284,32 @@ def build_general_kernel(bc: BoundaryConditions) -> GreenKernel:
             "boundary system is numerically singular (condition %.3e)" % cond)
     upper = -np.linalg.solve(a_mat, r_mat) @ _P
     upper[2] *= 0.5  # c3 multiplies t^2 / 2
-    lower = upper + _JUMP
-    (sg, sg1), (m0, m1, m2) = _signs_and_norms(_row_tables(lower, upper))
-    return GreenKernel(lower=lower, upper=upper, sigma_g=sg, sigma_g1=sg1,
+    return upper
+
+
+def kernel_catalog(case: CaseId) -> GreenKernel:
+    """Kernel for a catalog case: the solved table with the closed-form norms
+    and signs, no t-scan."""
+    bc, (m0, m1, m2), (sg, sg1) = _CATALOG[case]
+    return GreenKernel(upper=_upper_table(bc), sigma_g=sg, sigma_g1=sg1,
+                       m0=m0, m1=m1, m2=m2)
+
+
+def build_general_kernel(bc: BoundaryConditions) -> GreenKernel:
+    """Construct the kernel for arbitrary full-rank boundary coefficients.
+
+    The upper table comes from the solve in ``_upper_table``.  The signs and
+    norms come from one pass over the row tables: at each t of a scan each
+    side of a row splits at its real roots in s into pieces of constant
+    sign.  sigma_g (sigma_g1) is +-1 when no piece of G (G_t) has an area
+    beyond SIGN_TOL on the other side of zero on the coarse scan, else 0;
+    M0..M2 are the pieces' absolute values summed, maximised over t.  The
+    kernel is then built once, with its final metadata.
+    """
+    bc.validate()
+    upper = _upper_table(bc)
+    (sg, sg1), (m0, m1, m2) = _signs_and_norms(_row_tables(upper))
+    return GreenKernel(upper=upper, sigma_g=sg, sigma_g1=sg1,
                        m0=m0, m1=m1, m2=m2)
 
 

@@ -231,6 +231,8 @@ def test_kernel_bc_file_routes(runner, tmp_path):
             "nan.json": (dict(good, g3=float("nan")), "finite"),
             "inf.json": (dict(good, g3=float("inf")), "finite"),
             "list.json": ([1, 0, 0], "object"),
+            # a misspelt "endpoints" would fall back to the default frame
+            "typo.json": (dict(good, endpoint=[0, 1, 1]), "unknown endpoint"),
         }
         for name, (doc, said) in malformed.items():
             Path(name).write_text(json.dumps(doc))
@@ -238,6 +240,20 @@ def test_kernel_bc_file_routes(runner, tmp_path):
             assert res.exit_code == 1, name
             assert res.output.startswith("Error:") and said in res.output, name
             assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def test_kernel_bc_file_case3_matches_catalog(runner, tmp_path):
+    case3 = {"a1": 1, "b1": 0, "g1": 0, "a2": 0, "b2": 1, "g2": 0,
+             "a3": 0, "b3": 0, "g3": 1, "endpoints": [0, 1, 1]}
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("ok.json").write_text(json.dumps(case3))
+        res = runner.invoke(main, ["kernel", "--bc-file", "ok.json",
+                                   "--h", "0.05", "--csv", "custom.csv"])
+        assert res.exit_code == 0
+        res = runner.invoke(main, ["kernel", "--case", "3", "--h", "0.05",
+                                   "--csv", "case3.csv"])
+        assert res.exit_code == 0
+        assert Path("custom.csv").read_bytes() == Path("case3.csv").read_bytes()
 
 
 def test_kernel_usage_errors(runner):

@@ -162,15 +162,40 @@ def test_general_constructor_matches_catalog(case):
     assert_allclose(gen.norms(), ANALYTIC_NORMS[case], atol=1e-4)
 
 
+# case -> (lower table, upper table) of G, each written out by hand from the
+# closed form in the comment above it
+HAND_TABLES = {
+    # s t^2/2 - s t + s^2/2 on s <= t, (s - 1) t^2/2 on t <= s
+    CaseId.CASE1: (
+        ((0.0, 0.0, 0.5), (0.0, -1.0, 0.0), (0.0, 0.5, 0.0)),
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (-0.5, 0.5, 0.0))),
+    # s^2/2 - s t on s <= t, -t^2/2 on t <= s
+    CaseId.CASE2: (
+        ((0.0, 0.0, 0.5), (0.0, -1.0, 0.0), (0.0, 0.0, 0.0)),
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (-0.5, 0.0, 0.0))),
+    # s^2/2 on s <= t, s t - t^2/2 on t <= s
+    CaseId.CASE3: (
+        ((0.0, 0.0, 0.5), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+        ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-0.5, 0.0, 0.0))),
+    # t^2/2 - t + s^2/2 on s <= t, s t - t on t <= s
+    CaseId.CASE4: (
+        ((0.0, 0.0, 0.5), (-1.0, 0.0, 0.0), (0.5, 0.0, 0.0)),
+        ((0.0, 0.0, 0.0), (-1.0, 1.0, 0.0), (0.0, 0.0, 0.0))),
+}
+
+
 @pytest.mark.parametrize("case", ALL_CASES)
 def test_catalog_tables_match_constructor(case):
-    # the catalog tables are written out by hand, so this compares two
-    # independent derivations of the same coefficients
+    # the tables above are written out by hand, so this compares two
+    # independent derivations of the same coefficients, zero signs included
     cat = kernel_catalog(case)
     gen = build_general_kernel(case_boundary_conditions(case))
-    assert_allclose(cat.lower, gen.lower, rtol=0, atol=1e-15)
-    assert_allclose(cat.upper, gen.upper, rtol=0, atol=1e-15)
-    assert not cat.lower.flags.writeable and not gen.upper.flags.writeable
+    for kernel in (cat, gen):
+        for got, hand in zip(kernel.tables(0), HAND_TABLES[case]):
+            hand = np.array(hand)
+            assert np.array_equal(got, hand)
+            assert np.array_equal(np.signbit(got), np.signbit(hand))
+    assert not cat.upper.flags.writeable and not gen.tables(0)[0].flags.writeable
 
 
 def test_general_constructor_hand_oracle():
@@ -375,6 +400,32 @@ def test_exact_norms_against_references(ends):
                         rtol=FINE_TOL, atol=0)
         numeric = np.array(numeric_kernel_norms(kernel, refinement=10))
         assert_allclose(exact, numeric, rtol=NUMERIC_TOL, atol=0)
+
+
+# t-derivative of a table and (t - s)^2 / 2, the lower branch's extra part
+D_T = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
+HALF_SQUARE = np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]])
+
+
+def test_lower_tables_follow_from_upper(monkeypatch):
+    # every kernel is its upper table: the lower one of each row is the
+    # row's derivative of upper + (t - s)^2 / 2, bit for bit, on the catalog
+    # and on 38 random kernels per endpoint pattern
+    calls = []
+    monkeypatch.setattr("bvp3.greens.build_general_kernel", calls.append)
+    kernels = [kernel_catalog(case) for case in ALL_CASES]
+    assert calls == []
+    monkeypatch.undo()
+    kernels += [k for i, ends in enumerate(ENDPOINTS)
+                for k in _random_kernels(ends, 38, seed=400 + i)]
+    for k in kernels:
+        low, up = k.upper + HALF_SQUARE, k.upper
+        for order in range(3):
+            lower, upper = k.tables(order)
+            assert np.array_equal(lower, low) and np.array_equal(upper, up)
+            assert np.array_equal(np.signbit(lower), np.signbit(low))
+            assert np.array_equal(np.signbit(upper), np.signbit(up))
+            low, up = D_T @ low, D_T @ up
 
 
 def test_constructor_memory_is_small():
