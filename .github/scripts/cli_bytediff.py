@@ -20,6 +20,10 @@ from pathlib import Path
 
 PROBLEMS = ("yao-feng-7", "yao-feng-8", "feng-liu-4.2", "dqa1", "dqa",
             "bai-3.5")
+# about 0.9 M per problem: --M drops the analytic constants, so these take
+# the sampled Lipschitz path at the benchmark's 65536 samples
+SAMPLED_M = {"yao-feng-7": "0.99", "yao-feng-8": "3.69", "feng-liu-4.2": "2.43",
+             "dqa1": "6.75", "dqa": "7.2", "bai-3.5": "0.75"}
 # u(0) = u'(0) = u(1) = 0: a constructed kernel whose G_t changes sign
 BC_FILE = ("bc.json", {"a1": 1, "b1": 0, "g1": 0, "a2": 0, "b2": 1, "g2": 0,
                        "a3": 1, "b3": 0, "g3": 0, "endpoints": [0, 0, 1]})
@@ -29,10 +33,14 @@ COMMANDS = (
     + [["check", "--problem", p, "--json", "verdict.json"] for p in PROBLEMS]
     + [["check", "--problem", p, "--M", "0.5", "--samples", "1000"]
        for p in PROBLEMS]
+    + [["check", "--problem", p, "--M", SAMPLED_M[p], "--samples", "65536"]
+       for p in PROBLEMS]
     + [["kernel", "--case", str(c), "--h", "0.05", "--compare-general"]
        for c in (1, 2, 3, 4)]
     + [
         ["solve", "--problem", "dqa1", "--h", "0.001", "--csv", "u.csv",
+         "--json", "r.json"],
+        ["solve", "--problem", "yao-feng-8", "--h", "0.001", "--csv", "u.csv",
          "--json", "r.json"],
         ["solve", "--problem", "dqa", "--M", "3.0"],
         ["kernel", "--bc-file", BC_FILE[0], "--csv", "custom.csv"],

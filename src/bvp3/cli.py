@@ -247,7 +247,8 @@ def cmd_convergence(name, h0, levels, tol, csv_path):
     entry, _ = _resolved_problem(name, None)
     try:
         rows = convergence_study(entry, h0, levels, tol=tol)
-    except (NoExactSolution, ValueError, Diverged, MaxIterExceeded) as exc:
+    except (NoExactSolution, ValueError, Diverged, MaxIterExceeded,
+            NonFiniteValue) as exc:
         raise click.ClickException("%s: %s" % (name, exc))
     lines = ["h,max_dev_exact,observed_order"]
     for h_val, dev, order in rows:

@@ -8,8 +8,8 @@ import pytest
 from click.testing import CliRunner
 
 from bvp3.cli import NoExactSolution, convergence_study, main
-from bvp3 import (Grid, get_problem, kernel_for, list_problems, solve,
-                  verdict)
+from bvp3 import (Grid, NonFiniteValue, get_problem, kernel_for,
+                  list_problems, solve, verdict)
 
 REPORT_FIELDS = ["problem", "h", "tol", "iterations", "final_diff", "q", "p_k",
                  "M0", "M1", "M2", "bound_checks", "residual", "max_dev_exact",
@@ -281,6 +281,17 @@ def test_convergence_requires_exact(runner):
     res = runner.invoke(main, ["convergence", "--problem", "yao-feng-7"])
     assert res.exit_code == 1
     assert "no exact solution" in res.output
+
+
+def test_convergence_non_finite_f_ends_with_clean_error(runner, monkeypatch):
+    def non_finite(*args, **kwargs):
+        raise NonFiniteValue("f returned non-finite values")
+
+    monkeypatch.setattr("bvp3.cli.solve", non_finite)
+    res = runner.invoke(main, ["convergence", "--problem", "dqa1"])
+    assert res.exit_code == 1
+    assert res.output.startswith("Error: dqa1:")
+    assert "non-finite" in res.output
 
 
 def test_convergence_study_function():

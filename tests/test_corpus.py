@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bvp3 import CaseId, UnknownProblem, get_problem, list_problems
+from bvp3 import (CaseId, UnknownProblem, conditions, get_problem, kernel_for,
+                  list_problems, verdict)
 
 EXPECTED = [
     ("yao-feng-7", CaseId.CASE1, False),
@@ -124,3 +125,60 @@ def test_provenance_is_read_only():
     assert prov["M"].startswith("inferred")
     with pytest.raises(TypeError):
         prov["M"] = "other"
+
+
+def _ufuncs_applied(f, *args):
+    """Names of the ufuncs f applies to its arguments and to what it makes
+    of them."""
+    seen = set()
+
+    def plain(a):
+        return a.view(np.ndarray) if isinstance(a, Spy) else a
+
+    class Spy(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            seen.add(ufunc.__name__)
+            out = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+            return out.view(Spy) if isinstance(out, np.ndarray) else out
+
+    f(*(np.asarray(a, dtype=float).view(Spy) for a in args))
+    return seen
+
+
+@pytest.mark.parametrize("name", [n for n, _, _ in EXPECTED])
+def test_f_calls_no_power(name):
+    # the full solvability box is half negative, where numpy's float power
+    # is about 100x slower than a product
+    grid = np.linspace(-0.5, 0.5, 11)
+    seen = _ufuncs_applied(get_problem(name).problem.f,
+                           grid + 0.5, grid, grid, grid)
+    assert seen, "the spy saw no ufunc"
+    assert "power" not in seen
+
+
+def _yao_feng_8_pow(t, x, y, z):
+    # the reference: yao-feng-8's f as written before the cube was a product
+    return -(5.0 * x ** 3 + 4.0 * x + 3.0) / (x * x + 1.0)
+
+
+# measured largest relative difference: 2.34e-16 (about one ulp of f)
+PIN_RTOL = 1e-15
+
+
+@pytest.mark.parametrize("positive", [False, True], ids=["full", "one-sided"])
+@pytest.mark.parametrize("scale", [1.0, 0.8])
+def test_yao_feng_8_product_matches_power(positive, scale):
+    e = get_problem("yao-feng-8")
+    lo, span = conditions._box(scale * e.reference.M,
+                               kernel_for(e.problem), positive)
+    t, x, y, z = lo + conditions._halton(65536)[:4] * span
+    new, old = e.problem.f(t, x, y, z), _yao_feng_8_pow(t, x, y, z)
+    assert np.max(np.abs(new - old) / np.abs(old)) <= PIN_RTOL
+
+
+def test_yao_feng_8_verdict_holds():
+    e = get_problem("yao-feng-8")
+    v = verdict(e.problem, kernel_for(e.problem), e.reference.M,
+                samples=65536)
+    assert (v.theorem1_holds, v.theorem2_holds, v.theorem3_holds,
+            v.theorem4_holds) == (True, True, True, True)
