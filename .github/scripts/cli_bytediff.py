@@ -35,8 +35,7 @@ COMMANDS = (
        for p in PROBLEMS]
     + [["check", "--problem", p, "--M", SAMPLED_M[p], "--samples", "65536"]
        for p in PROBLEMS]
-    + [["kernel", "--case", str(c), "--h", "0.05", "--compare-general"]
-       for c in (1, 2, 3, 4)]
+    + [["kernel", "--case", str(c), "--h", "0.05"] for c in (1, 2, 3, 4)]
     + [
         ["solve", "--problem", "dqa1", "--h", "0.001", "--csv", "u.csv",
          "--json", "r.json"],
@@ -52,6 +51,17 @@ COMMANDS = (
         ["check", "--problem", "dqa1", "--M", "-1"],
         ["kernel"],
         ["convergence", "--problem", "bai-3.5"],
+        # one error path through each route to exit 1
+        ["solve", "--problem", "dqa1", "--h", "0.3"],
+        ["solve", "--problem", "dqa1", "--max-iter", "2"],
+        ["solve", "--problem", "dqa1", "--M", "nan"],
+        ["check", "--problem", "nope"],
+        ["check", "--problem", "dqa1", "--samples", "10"],
+        ["kernel", "--case", "1", "--h", "0.3"],
+        ["kernel", "--bc-file", BC_FILE[0], "--h", "0.0"],
+        ["convergence", "--problem", "dqa1", "--h0", "0.3"],
+        ["convergence", "--problem", "dqa1", "--levels", "0"],
+        ["convergence", "--problem", "nope"],
     ]
 )
 

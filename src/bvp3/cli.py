@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 for domain failures (unknown problem, divergence,
-singular boundary systems, missing exact solution), 2 for usage errors.
+singular boundary systems, missing exact solution) and for output or
+boundary-condition files that cannot be written or read, 2 for usage errors.
 All file output is deterministic: floats print with 17 significant digits,
 lines end with LF, and no timestamps or environment state leak in.  The solve
 report and the check verdict are JSON documents written from the fields of
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import fields, replace
 
 import click
@@ -20,7 +22,7 @@ import numpy as np
 from .conditions import verdict
 from .corpus import UnknownProblem, get_problem, list_problems
 from .greens import (BoundaryConditions, CaseId, build_general_kernel,
-                     case_boundary_conditions, kernel_catalog)
+                     kernel_catalog)
 from .picard import (Diverged, MaxIterExceeded, NonFiniteValue, kernel_for,
                      solve)
 from .quadrature import Grid, tabulate
@@ -31,6 +33,10 @@ FLOAT_FMT = "%.17g"
 # JSON names of the kernel norms, and record fields kept in memory only
 _JSON_NAMES = {"m0": "M0", "m1": "M1", "m2": "M2"}
 _IN_MEMORY = ("diffs", "history")
+# the failures that end a command with exit 1; ValueError covers the bad
+# numbers, boundary systems and JSON of every layer
+_FAILURES = (ValueError, OSError, UnknownProblem, Diverged, MaxIterExceeded,
+             NonFiniteValue)
 
 
 class NoExactSolution(ValueError):
@@ -41,31 +47,32 @@ def _fmt(v) -> str:
     return FLOAT_FMT % v
 
 
-def _grid_from_h(h):
+@contextmanager
+def _failing(name=None):
+    """End the command with exit 1 on any of _FAILURES, its message led by
+    "name: " when a name is given."""
     try:
-        return Grid.from_h(h)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+        yield
+    except _FAILURES as exc:
+        # KeyError str() would requote the message
+        msg = exc.args[0] if isinstance(exc, KeyError) else str(exc)
+        raise click.ClickException(msg if name is None else
+                                   "%s: %s" % (name, msg))
 
 
 def _resolved_problem(name, m_override):
-    try:
+    with _failing():
         entry = get_problem(name)
-    except UnknownProblem as exc:
-        # KeyError str() would requote the message
-        raise click.ClickException(exc.args[0])
     problem = entry.problem
     if m_override is not None and m_override != problem.M:
         # analytic Lipschitz constants are certified at the stored M only
-        try:
+        with _failing(name):
             problem = replace(problem, M=m_override, lipschitz=None)
-        except ValueError as exc:
-            raise click.ClickException("%s: %s" % (name, exc))
     return entry, problem
 
 
 def _write_text(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _failing(), open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
@@ -105,11 +112,10 @@ def main():
 def cmd_solve(name, h, tol, max_iter, m_override, csv_path, json_path):
     """Solve one corpus problem and write the solution CSV and run report."""
     entry, problem = _resolved_problem(name, m_override)
-    grid = _grid_from_h(h)
-    try:
+    with _failing():
+        grid = Grid.from_h(h)
+    with _failing(name):
         state, report = solve(problem, grid, tol=tol, max_iter=max_iter)
-    except (ValueError, Diverged, MaxIterExceeded, NonFiniteValue) as exc:
-        raise click.ClickException("%s: %s" % (name, exc))
     csv_path = csv_path or "%s_solution.csv" % name
     json_path = json_path or "%s_report.json" % name
     _write_text(csv_path, _csv_text("t,u,du,d2u,phi", (
@@ -131,10 +137,8 @@ def cmd_solve(name, h, tol, max_iter, m_override, csv_path, json_path):
 def cmd_check(name, m_value, samples, json_path):
     """Evaluate the solvability checks and print the verdict as JSON."""
     _, problem = _resolved_problem(name, m_value)
-    try:
+    with _failing(name):
         v = verdict(problem, kernel_for(problem), problem.M, samples=samples)
-    except (ValueError, NonFiniteValue) as exc:
-        raise click.ClickException("%s: %s" % (name, exc))
     text = _record_json(v, problem=name)
     click.echo(text)
     if json_path:
@@ -165,13 +169,6 @@ def _bc_from_file(path):
                               endpoints=endpoints)
 
 
-def _kernel_rows(kernel, nodes):
-    """G, G_t and G_tt at every node pair (t_i, s_j), lower branch on s <= t."""
-    below = np.tri(nodes.size, dtype=bool)
-    return [np.where(below, tabulate(low, nodes), tabulate(up, nodes))
-            for low, up in map(kernel.tables, range(3))]
-
-
 @main.command("kernel")
 @click.option("--case", "case_num", type=click.IntRange(1, 4), default=None,
               help="Catalog case number.")
@@ -179,37 +176,26 @@ def _kernel_rows(kernel, nodes):
               default=None, help="JSON file with boundary coefficients.")
 @click.option("--h", type=float, default=0.01, show_default=True)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--compare-general", is_flag=True,
-              help="Rebuild the catalog kernel from its coefficients and "
-                   "report the max pointwise gap.")
-def cmd_kernel(case_num, bc_file, h, csv_path, compare_general):
+def cmd_kernel(case_num, bc_file, h, csv_path):
     """Tabulate a Green kernel on the grid as t,s,G,G1,G2 rows."""
     if (case_num is None) == (bc_file is None):
         raise click.UsageError("give exactly one of --case or --bc-file")
-    if compare_general and case_num is None:
-        raise click.UsageError("--compare-general needs --case")
-    grid = _grid_from_h(h)
-    if case_num is not None:
-        case = CaseId(case_num)
-        kernel = kernel_catalog(case)
-        csv_path = csv_path or "kernel_case%d.csv" % case_num
-    else:
-        try:
+    with _failing():
+        grid = Grid.from_h(h)
+        if case_num is not None:
+            kernel = kernel_catalog(CaseId(case_num))
+            csv_path = csv_path or "kernel_case%d.csv" % case_num
+        else:
             kernel = build_general_kernel(_bc_from_file(bc_file))
-        except ValueError as exc:
-            raise click.ClickException(str(exc))
-        csv_path = csv_path or "kernel_custom.csv"
+            csv_path = csv_path or "kernel_custom.csv"
     tt = grid.nodes
-    g_vals, g1_vals, g2_vals = _kernel_rows(kernel, tt)
+    below = np.tri(tt.size, dtype=bool)
+    # G, G_t and G_tt at every node pair (t_i, s_j), lower branch on s <= t
+    rows = [np.where(below, tabulate(low, tt), tabulate(up, tt)).ravel()
+            for low, up in map(kernel.tables, range(3))]
     _write_text(csv_path, _csv_text("t,s,G,G1,G2", (
-        np.repeat(tt, tt.size), np.tile(tt, tt.size),
-        g_vals.ravel(), g1_vals.ravel(), g2_vals.ravel())))
+        np.repeat(tt, tt.size), np.tile(tt, tt.size), *rows)))
     click.echo("wrote %s" % csv_path)
-    if compare_general:
-        built = build_general_kernel(case_boundary_conditions(case))
-        gap = max(float(np.max(np.abs(cat - gen))) for cat, gen in zip(
-            (g_vals, g1_vals, g2_vals), _kernel_rows(built, tt)))
-        click.echo("compare_general_gap = %s" % _fmt(gap))
 
 
 def convergence_study(entry, h0, levels, tol=1e-6):
@@ -245,11 +231,8 @@ def convergence_study(entry, h0, levels, tol=1e-6):
 def cmd_convergence(name, h0, levels, tol, csv_path):
     """Halve the grid repeatedly and report observed deviation orders."""
     entry, _ = _resolved_problem(name, None)
-    try:
+    with _failing(name):
         rows = convergence_study(entry, h0, levels, tol=tol)
-    except (NoExactSolution, ValueError, Diverged, MaxIterExceeded,
-            NonFiniteValue) as exc:
-        raise click.ClickException("%s: %s" % (name, exc))
     lines = ["h,max_dev_exact,observed_order"]
     for h_val, dev, order in rows:
         lines.append("%s,%s,%s" % (
