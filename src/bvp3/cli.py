@@ -140,9 +140,9 @@ def cmd_check(name, m_value, samples, json_path):
     with _failing(name):
         v = verdict(problem, kernel_for(problem), problem.M, samples=samples)
     text = _record_json(v, problem=name)
-    click.echo(text)
     if json_path:
         _write_text(json_path, text + "\n")
+    click.echo(text)
 
 
 def _bc_from_file(path):

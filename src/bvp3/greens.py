@@ -9,11 +9,11 @@ metadata that the iteration and the solvability checks consume.
 
 Representation: on each side of the diagonal G is a polynomial of degree at
 most 2 in t and in s, so a kernel is one read-only 3x3 coefficient table,
-``upper``, whose entry [a, b] multiplies t^a s^b; the lower one, derived and
-never stored, adds (t - s)^2 / 2.  Every table, catalog ones included, comes
-from one 3x3 solve.  The rows G_t and G_tt come from differentiating a table
-in t.  ``evaluate`` is the one pointwise evaluator; the module holds no grid
-code (tabulation and the trapezoid weights live in ``quadrature``).
+``upper``, whose entry [a, b] multiplies t^a s^b; the lower one adds
+(t - s)^2 / 2.  Every table, catalog ones included, comes from one 3x3 solve.
+The tables of G, G_t, G_tt and their (9, 6) stack for ``quadrature`` are
+derived once per kernel, read-only.  ``evaluate`` is the one pointwise
+evaluator; grid code lives in ``quadrature``.
 
 Signs and norms of constructed kernels come from one pass over the row
 tables: at fixed t each side of a row is a quadratic in s, which its real
@@ -22,13 +22,13 @@ difference.  The pieces' absolute values add up to the exact integral of
 |row| at that t, and their signs give the row's sign, so both are exact in
 s.  In t they rest on a scan: the signs on the coarse scan, and the max over
 t on that scan refined around its best point, an estimate and not a
-certified bound.
+certified bound.  The scan's fixed arrays are built once, at import, and the
+pieces are written in place by the operations of the plain formula in the
+same order, so signs and norms are those of that formula bit for bit.
 
 Branch convention: the "lower" table applies on s <= t, the "upper" one on
-t <= s.  Both branches are polynomials defined on the whole square, so either
-can be evaluated anywhere; only the selection rule at the diagonal matters,
-and there the lower branch wins (relevant for the second derivative, which
-jumps by one across s = t).
+t <= s.  Both are polynomials on the whole square; at the diagonal the lower
+branch wins, which matters for G_tt, as it jumps by one across s = t.
 """
 
 from __future__ import annotations
@@ -192,12 +192,9 @@ class GreenKernel:
     upper is the read-only 3x3 table of G on t <= s, entry [a, b] multiplying
     t^a s^b; ``tables`` derives the one on s <= t, upper + (t - s)^2 / 2.
     sigma_g and sigma_g1 are -1, 0 or +1; zero means the row has no constant
-    sign on the square.  For constructed kernels a sign is exact in s and
-    read on the coarse t-scan: +-1 when no piece of the row between its real
-    roots in s has an area beyond SIGN_TOL on the other side of zero.  m0,
-    m1, m2 are the max-over-t integrals of |G|, |G_t|, |G_tt|: the
-    closed-form constants for catalog kernels, and for constructed ones
-    exact integrals at each t, maximised by a t-scan.
+    sign on the square.  m0, m1, m2 are the max-over-t integrals of |G|,
+    |G_t|, |G_tt|.  Catalog kernels carry closed-form signs and norms,
+    constructed ones those of ``_signs_and_norms``: exact in s, scanned in t.
     """
 
     upper: np.ndarray
@@ -210,6 +207,9 @@ class GreenKernel:
     def __post_init__(self):
         object.__setattr__(self, "upper", _read_only(self.upper))
         object.__setattr__(self, "_rows", _row_tables(self.upper))
+        # (9, 6) for quadrature.apply_rows: row 3 k + a is row a of pair k
+        object.__setattr__(self, "_row_stack", _read_only(
+            np.array(self._rows).transpose(0, 2, 1, 3).reshape(9, 6)))
 
     def tables(self, order=0):
         """(lower, upper) tables of the order-th t-derivative, order 0, 1 or 2;
@@ -296,16 +296,10 @@ def kernel_catalog(case: CaseId) -> GreenKernel:
 
 
 def build_general_kernel(bc: BoundaryConditions) -> GreenKernel:
-    """Construct the kernel for arbitrary full-rank boundary coefficients.
-
-    The upper table comes from the solve in ``_upper_table``.  The signs and
-    norms come from one pass over the row tables: at each t of a scan each
-    side of a row splits at its real roots in s into pieces of constant
-    sign.  sigma_g (sigma_g1) is +-1 when no piece of G (G_t) has an area
-    beyond SIGN_TOL on the other side of zero on the coarse scan, else 0;
-    M0..M2 are the pieces' absolute values summed, maximised over t.  The
-    kernel is then built once, with its final metadata.
-    """
+    """Construct the kernel for arbitrary full-rank boundary coefficients:
+    the upper table from the solve in ``_upper_table``, the signs and norms
+    from one pass over its row tables (``_signs_and_norms``), and then the
+    kernel, built once with its final metadata."""
     bc.validate()
     upper = _upper_table(bc)
     (sg, sg1), (m0, m1, m2) = _signs_and_norms(_row_tables(upper))
@@ -315,9 +309,8 @@ def build_general_kernel(bc: BoundaryConditions) -> GreenKernel:
 
 def _pieces(coef, lo, hi):
     """Signed integrals of c0 + c1 s + c2 s^2 over [lo, hi] between its real
-    roots, elementwise: coef stacks (c0, c1, c2) on its first axis, each
-    shaped like lo and hi, and the three pieces stack on the first axis of
-    the result.
+    roots, elementwise: coef stacks (c0, c1, c2), each shaped like lo and
+    hi, on its first axis, and the three pieces stack on the result's.
 
     Piece j is P(b_j+1) - P(b_j), P the antiderivative, over breakpoints
     that include every real root in the interval, so the quadratic keeps one
@@ -327,38 +320,55 @@ def _pieces(coef, lo, hi):
     breakpoints, and nan ones (0 / 0) fall back to lo.
     """
     c0, c1, c2 = coef
+    b = np.empty((4,) + np.shape(c0))
+    b[0], b[3] = lo, hi
+    roots = b[1:3, ...]  # roots[k, ...] is an array for out=, even 0-d
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         q = -0.5 * (c1 + np.copysign(
             np.sqrt(np.maximum(c1 * c1 - 4.0 * c0 * c2, 0.0)), c1))
-        cands = (q / c2, c0 / q)
-    r1, r2 = (np.fmin(np.fmax(r, lo), hi) for r in cands)
-    b = np.stack([lo, np.fmin(r1, r2), np.fmax(r1, r2), hi])
-    p = b * (c0 + b * (0.5 * c1 + b * (c2 / 3.0)))
-    return np.diff(p, axis=0)
+        np.divide(q, c2, out=roots[0, ...])
+        np.divide(c0, q, out=roots[1, ...])
+    np.fmin(np.fmax(roots, lo, out=roots), hi, out=roots)
+    roots[...] = np.fmin(*roots), np.fmax(*roots)
+    # b (c0 + b (c1 / 2 + b c2 / 3)), its operations in that order
+    p = b * (c2 / 3.0)
+    p += 0.5 * c1
+    p *= b
+    p += c0
+    p *= b
+    return p[1:] - p[:-1]
 
 
-def _row_pieces(tables, t):
-    """Pieces of row k on [0, t] and on [t, 1] at t = t[k, i], for the three
-    rows k at once, stacked on (piece, row, side, i), and the integrals of
-    |row k| over [0, 1] they add up to; tables is the (3, 2, 3, 3) stack of
-    row tables."""
-    v = np.stack([np.ones_like(t), t, t * t], axis=1)[:, None]
-    coef = np.moveaxis(np.swapaxes(tables, 2, 3) @ v, 2, 0)
-    lo = np.stack([np.zeros_like(t), t], axis=1)
-    hi = np.stack([t, np.ones_like(t)], axis=1)
-    pieces = _pieces(coef, lo, hi)
+def _scan_arrays(t):
+    """[1, t, t^2] and the side ends [0, t], [t, 1] at the (3, m) points t."""
+    v, ends = np.empty((3, 1, 3, t.shape[1])), np.empty((3, 3, t.shape[1]))
+    v[:, 0, 0], v[:, 0, 1], v[:, 0, 2] = 1.0, t, t * t
+    ends[:, 0], ends[:, 1], ends[:, 2] = 0.0, t, 1.0
+    return v, ends[:, :2], ends[:, 1:]
+
+
+# the coarse scan and the zoom window never change: built once, read-only
+_SCAN_T = _read_only(np.tile(np.linspace(0.0, 1.0, NORM_SCAN_N + 1), (3, 1)))
+_SCAN = tuple(map(_read_only, _scan_arrays(_SCAN_T)))
+_WINDOW = _read_only(np.linspace(-1.0, 1.0, NORM_ZOOM_N + 1))
+
+
+def _row_pieces(tables, v, lo, hi):
+    """Pieces of row k on both sides at t[k], on (piece, row, side, i), and
+    their integrals of |row k| over [0, 1]; tables: the (3, 2, 3, 3) row
+    tables, last two axes swapped; (v, lo, hi): ``_scan_arrays(t)``."""
+    pieces = _pieces((tables @ v).transpose(2, 0, 1, 3), lo, hi)
     # summed over the pieces first, then over the two sides
-    return pieces, np.sum(np.sum(np.abs(pieces), axis=0), axis=1)
+    return pieces, np.abs(pieces).sum(axis=0).sum(axis=1)
 
 
 def _signs_and_norms(rows):
     """(sigma_g, sigma_g1) and (M0, M1, M2) from the row tables, in one pass.
 
-    A sign is +1 (or -1) when no piece of the row, on either side, falls
-    below -SIGN_TOL (rises above SIGN_TOL) at any t of the coarse scan, and
-    0 otherwise; a row whose pieces all stay in [-SIGN_TOL, SIGN_TOL] counts
-    as +1.  The quadratic keeps one sign on each piece, so the signs are
-    exact in s, and SIGN_TOL bounds piece areas, not values.
+    A sign is +1 (-1) when no piece of the row on either side falls below
+    -SIGN_TOL (rises above SIGN_TOL) at any t of the coarse scan, else 0; a
+    row whose pieces all stay within SIGN_TOL of 0 counts as +1.  Each piece
+    keeps one sign, so signs are exact in s; SIGN_TOL bounds areas, not values.
 
     A norm is the exact integral of |row| over s at each t, maximised over t
     by the coarse scan on NORM_SCAN_N intervals and NORM_ZOOMS rounds of
@@ -366,16 +376,15 @@ def _signs_and_norms(rows):
     estimate, not a certified bound: it cannot exceed the true norm beyond
     rounding, but a peak narrower than the coarse spacing could be missed.
     """
-    tables = np.array(rows)
+    tables = np.swapaxes(np.array(rows), 2, 3)
     step = 1.0 / NORM_SCAN_N
-    t = np.tile(np.linspace(0.0, 1.0, NORM_SCAN_N + 1), (3, 1))
-    pieces, vals = _row_pieces(tables, t)
+    t = _SCAN_T
+    pieces, vals = _row_pieces(tables, *_SCAN)
     signs = tuple(1 if np.all(p >= -SIGN_TOL) else -1 if np.all(p <= SIGN_TOL)
                   else 0 for p in (pieces[:, 0], pieces[:, 1]))
-    window = np.linspace(-1.0, 1.0, NORM_ZOOM_N + 1)
     for _ in range(NORM_ZOOMS):
         best = t[np.arange(3), np.argmax(vals, axis=1)]
-        t = np.clip(best[:, None] + step * window, 0.0, 1.0)
-        _, vals = _row_pieces(tables, t)
+        t = np.clip(best[:, None] + step * _WINDOW, 0.0, 1.0)
+        _, vals = _row_pieces(tables, *_scan_arrays(t))
         step *= 2.0 / NORM_ZOOM_N
     return signs, tuple(float(m) for m in np.max(vals, axis=1))

@@ -6,16 +6,18 @@ side and the one-sided values at s = t come from the matching branch.  That
 keeps second-order accuracy even though the G_tt row jumps there.
 
 ``apply_rows`` is how the sweeps apply it: each branch is a polynomial in s,
-so row i needs only trapezoid prefix and suffix sums of s^b phi, and the
-three rows G, G1, G2 cost O(n) together.  ``kernel_row_matrix`` writes the
-same rule out as a dense (n+1)^2 weight matrix from the split weights; it is
-the reference the tests hold ``apply_rows`` to.  ``numeric_kernel_norms``
-reads the same weights for quadrature values of M0..M2, the reference for
-the exact norms of ``greens``.
+so the rows need only six moments, the trapezoid prefix and suffix sums of
+s^b phi, and one contraction with the kernel's (9, 6) table stack gives G,
+G1 and G2 together in O(n).  The node powers [1, x, x^2] are built once per
+grid and the stack once per kernel, both read-only, and the moments are
+written in place in the order of the plain formula, so the fields are those
+of a fresh evaluation bit for bit.  ``kernel_row_matrix`` writes the rule
+out as a dense (n+1)^2 weight matrix, the reference the tests hold
+``apply_rows`` to; ``numeric_kernel_norms`` reads its weights for quadrature
+values of M0..M2, the reference for the exact norms of ``greens``.
 
-Every grid rule of the package is here: the split weights, and
-``tabulate``, a table's values at every pair of grid nodes as V @ C @ V.T
-with V the Vandermonde matrix [1, x, x^2].
+Every grid rule of the package is here: the split weights, and ``tabulate``,
+a table's values at every pair of nodes as V @ C @ V.T, V = [1, x, x^2].
 """
 
 from __future__ import annotations
@@ -59,6 +61,14 @@ class Grid:
         x = np.linspace(0.0, 1.0, self.n + 1)
         x.setflags(write=False)
         return x
+
+    @cached_property
+    def _powers(self) -> np.ndarray:
+        """[1, x, x^2] at the nodes for ``apply_rows``, read-only like them."""
+        x = self.nodes
+        powers = np.stack([np.ones_like(x), x, x * x])
+        powers.setflags(write=False)
+        return powers
 
     @classmethod
     def from_h(cls, h: float) -> "Grid":
@@ -130,14 +140,15 @@ def apply_rows(kernel: GreenKernel, grid: Grid, phi):
     of a kernel row with tables (lower, upper) is
     sum_a t_i^a sum_b (lower[a, b] pre_b[i] + upper[a, b] suf_b[i]).
     """
-    x = grid.nodes
-    powers = np.stack([np.ones_like(x), x, x * x])  # s^b, and t^a, at the nodes
+    powers = grid._powers
     g = powers * phi
-    mid = np.cumsum(g, axis=1) - 0.5 * g
-    sums = np.concatenate([mid - mid[:, :1], mid[:, -1:] - mid])
+    mid = np.cumsum(g, axis=1)
+    mid -= 0.5 * g
+    sums = np.empty((6, grid.n + 1))
+    np.subtract(mid, mid[:, :1], out=sums[:3])
+    np.subtract(mid[:, -1:], mid, out=sums[3:])
     sums *= grid.h
     # one (lower | upper) block of rows per kernel row G, G1, G2
-    coef = np.concatenate([np.concatenate(kernel.tables(order), axis=1)
-                           for order in range(3)])
-    terms = (coef @ sums).reshape(3, 3, -1)
-    return tuple(np.sum(terms * powers, axis=1))
+    terms = (kernel._row_stack @ sums).reshape(3, 3, -1)
+    terms *= powers
+    return tuple(terms.sum(axis=1))

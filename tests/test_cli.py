@@ -307,10 +307,11 @@ def test_output_in_missing_directory_ends_with_clean_error(runner, tmp_path,
     missing = str(tmp_path / "missing" / "x")
     with runner.isolated_filesystem(temp_dir=tmp_path):
         res = runner.invoke(main, [a.format(missing=missing) for a in args])
-    # check prints its verdict before it writes the file
     last = res.output.splitlines()[-1]
     assert res.exit_code == 1
     assert last.startswith("Error: [Errno 2]") and missing in last
+    # no verdict reaches stdout when its file cannot be written
+    assert '"theorem1_holds"' not in res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
 
 

@@ -11,8 +11,9 @@ from numpy.testing import assert_allclose
 from bvp3 import (BoundaryConditions, CaseId, build_general_kernel,
                   case_boundary_conditions, kernel_catalog,
                   numeric_kernel_norms)
-from bvp3.greens import (SIGN_TOL, RankDeficientBC, SingularBoundarySystem,
-                         _pieces, _row_pieces, _signs_and_norms, evaluate)
+from bvp3.greens import (NORM_SCAN_N, NORM_ZOOM_N, NORM_ZOOMS, SIGN_TOL,
+                         RankDeficientBC, SingularBoundarySystem, _pieces,
+                         _signs_and_norms, evaluate)
 from bvp3.quadrature import tabulate
 
 ALL_CASES = list(CaseId)
@@ -196,6 +197,11 @@ def test_catalog_tables_match_constructor(case):
             assert np.array_equal(got, hand)
             assert np.array_equal(np.signbit(got), np.signbit(hand))
     assert not cat.upper.flags.writeable and not gen.tables(0)[0].flags.writeable
+    # the (9, 6) stack of every row's (lower | upper) blocks is read-only too
+    for kernel in (cat, gen):
+        assert not kernel._row_stack.flags.writeable
+        assert np.array_equal(kernel._row_stack, np.concatenate(
+            [np.concatenate(kernel.tables(k), axis=1) for k in range(3)]))
 
 
 def test_general_constructor_hand_oracle():
@@ -273,9 +279,11 @@ def test_constructed_catalog_norms_exact(case):
     ((1.0, 0.0, 0.0), 0.4, 0.4, 0.0),              # empty interval
 ])
 def test_abs_integral_degenerate_polynomials(coef, lo, hi, expected):
-    pieces = _pieces(np.array(coef), np.float64(lo), np.float64(hi))
+    args = (np.array(coef), np.float64(lo), np.float64(hi))
+    pieces = _pieces(*args)
     got = np.sum(np.abs(pieces))
     assert got == pytest.approx(expected, rel=0, abs=1e-15)
+    assert np.array_equal(pieces, _reference_pieces(*args))
 
 
 def test_sign_changing_rows_hand_oracle():
@@ -293,6 +301,47 @@ def test_sign_changing_rows_hand_oracle():
     coef = low[0] + 0.75 * low[1] + 0.5625 * low[2]
     lower = np.sum(np.abs(_pieces(coef, np.float64(0.0), np.float64(0.75))))
     assert lower == pytest.approx(2.0 / 27.0 - 0.03515625, rel=0, abs=1e-16)
+
+
+# The constructor's scan in its plain form, every array built per call and
+# every polynomial evaluated in one expression: the reference the signs and
+# norms of ``greens`` are held to bit for bit, and the scan the norm tests
+# below run at finer spacings.
+def _reference_pieces(coef, lo, hi):
+    c0, c1, c2 = coef
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = -0.5 * (c1 + np.copysign(
+            np.sqrt(np.maximum(c1 * c1 - 4.0 * c0 * c2, 0.0)), c1))
+        cands = (q / c2, c0 / q)
+    r1, r2 = (np.fmin(np.fmax(r, lo), hi) for r in cands)
+    b = np.stack([lo, np.fmin(r1, r2), np.fmax(r1, r2), hi])
+    p = b * (c0 + b * (0.5 * c1 + b * (c2 / 3.0)))
+    return np.diff(p, axis=0)
+
+
+def _reference_row_pieces(tables, t):
+    v = np.stack([np.ones_like(t), t, t * t], axis=1)[:, None]
+    coef = np.moveaxis(np.swapaxes(tables, 2, 3) @ v, 2, 0)
+    lo = np.stack([np.zeros_like(t), t], axis=1)
+    hi = np.stack([t, np.ones_like(t)], axis=1)
+    pieces = _reference_pieces(coef, lo, hi)
+    return pieces, np.sum(np.sum(np.abs(pieces), axis=0), axis=1)
+
+
+def _reference_signs_and_norms(rows):
+    tables = np.array(rows)
+    step = 1.0 / NORM_SCAN_N
+    t = np.tile(np.linspace(0.0, 1.0, NORM_SCAN_N + 1), (3, 1))
+    pieces, vals = _reference_row_pieces(tables, t)
+    signs = tuple(1 if np.all(p >= -SIGN_TOL) else -1 if np.all(p <= SIGN_TOL)
+                  else 0 for p in (pieces[:, 0], pieces[:, 1]))
+    window = np.linspace(-1.0, 1.0, NORM_ZOOM_N + 1)
+    for _ in range(NORM_ZOOMS):
+        best = t[np.arange(3), np.argmax(vals, axis=1)]
+        t = np.clip(best[:, None] + step * window, 0.0, 1.0)
+        _, vals = _reference_row_pieces(tables, t)
+        step *= 2.0 / NORM_ZOOM_N
+    return signs, tuple(float(m) for m in np.max(vals, axis=1))
 
 
 def _random_kernels(ends, count, seed):
@@ -314,7 +363,7 @@ def _scan(kernel, n):
     the t where each row attains it."""
     t = np.tile(np.linspace(0.0, 1.0, n + 1), (3, 1))
     tables = np.array([kernel.tables(order) for order in range(3)])
-    _, vals = _row_pieces(tables, t)
+    _, vals = _reference_row_pieces(tables, t)
     best = np.argmax(vals, axis=1)
     return vals[np.arange(3), best], t[0, best]
 
@@ -376,6 +425,22 @@ def test_exact_signs_match_grid_probe():
         patterns.add(probed)
     # every sign of each row occurs, so the check is not vacuous
     assert {p[0] for p in patterns} == {p[1] for p in patterns} == {-1, 0, 1}
+
+
+def test_signs_and_norms_match_reference_bit_for_bit():
+    # 38 random kernels per endpoint pattern, 100 perturbed catalog rows and
+    # the catalog rows themselves: the scan arrays built once and the
+    # arithmetic done in place give the reference's signs and norms exactly
+    kernels = [k for i, ends in enumerate(ENDPOINTS)
+               for k in _random_kernels(ends, 38, seed=500 + i)]
+    kernels += _perturbed_kernels(100, seed=600)
+    kernels += [build_general_kernel(case_boundary_conditions(case))
+                for case in ALL_CASES]
+    for k in kernels:
+        rows = [k.tables(order) for order in range(3)]
+        expected = _reference_signs_and_norms(rows)
+        assert _signs_and_norms(rows) == expected
+        assert ((k.sigma_g, k.sigma_g1), k.norms()) == expected
 
 
 @pytest.mark.parametrize("ends", ENDPOINTS)

@@ -3,6 +3,7 @@ O(n) apply held to the dense weight matrices."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,11 @@ def test_grid_basic():
     assert g.nodes is g.nodes
     with pytest.raises(ValueError):
         g.nodes[3] = 0.5
+    # so are the node powers [1, x, x^2] that apply_rows reads
+    assert g._powers is g._powers
+    assert np.array_equal(g._powers[2], g.nodes * g.nodes)
+    with pytest.raises(ValueError):
+        g._powers[1, 3] = 0.5
 
 
 def test_grid_validation():
@@ -186,12 +192,31 @@ def test_apply_rows_matches_dense(case, coeffs, endpoints, n, seed, scale):
             assume(False)
     grid = Grid(n)
     phi = scale * np.random.default_rng(seed).standard_normal(n + 1)
-    for order, field in enumerate(apply_rows(kernel, grid, phi)):
+    fields = apply_rows(kernel, grid, phi)
+    for field, ref in zip(fields, _reference_apply_rows(kernel, grid, phi)):
+        assert np.array_equal(field, ref)
+    for order, field in enumerate(fields):
         low, up = kernel.tables(order)
         atol = (APPLY_TOL * np.max(np.abs(phi))
                 * (np.sum(np.abs(low)) + np.sum(np.abs(up))))
         dense = kernel_row_matrix(kernel, ROWS[order], grid) @ phi
         assert_allclose(field, dense, rtol=0, atol=atol)
+
+
+def _reference_apply_rows(kernel, grid, phi):
+    """apply_rows in its plain form, the node powers and the table stack
+    built per call and every moment allocated: the reference it is held to
+    bit for bit."""
+    x = grid.nodes
+    powers = np.stack([np.ones_like(x), x, x * x])
+    g = powers * phi
+    mid = np.cumsum(g, axis=1) - 0.5 * g
+    sums = np.concatenate([mid - mid[:, :1], mid[:, -1:] - mid])
+    sums *= grid.h
+    coef = np.concatenate([np.concatenate(kernel.tables(order), axis=1)
+                           for order in range(3)])
+    terms = (coef @ sums).reshape(3, 3, -1)
+    return tuple(np.sum(terms * powers, axis=1))
 
 
 def _trapezoid_weights(m, h):
@@ -215,6 +240,8 @@ def test_apply_rows_against_fsum(case):
     rng = np.random.default_rng(2)
     phi = rng.standard_normal(n + 1)
     fields = apply_rows(kernel, grid, phi)
+    for field, ref in zip(fields, _reference_apply_rows(kernel, grid, phi)):
+        assert np.array_equal(field, ref)
     rows = [0, n, *rng.choice(np.arange(1, n), 8, replace=False)]
     for order, field in enumerate(fields):
         low, up = kernel.tables(order)
@@ -224,3 +251,20 @@ def test_apply_rows_against_fsum(case):
                 _trapezoid_weights(n - i, h) * evaluate(up, s[i], s[i:]) * phi[i:]])
             assert (abs(field[i] - math.fsum(terms))
                     <= FSUM_TOL * math.fsum(np.abs(terms)))
+
+
+def test_apply_rows_memory_per_node():
+    # the node powers are the grid's, built before tracing; the moments, the
+    # contraction and the three fields peaked at 24 doubles per node at
+    # n = 10^5, and the plain form above at 36
+    n = 10 ** 5
+    grid = Grid(n)
+    assert grid._powers.shape == (3, n + 1)
+    phi = np.random.default_rng(3).standard_normal(n + 1)
+    tracemalloc.start()
+    try:
+        apply_rows(CASE1, grid, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * 8 * (n + 1)
