@@ -45,6 +45,10 @@ COMMANDS = (
         ["kernel", "--bc-file", BC_FILE[0], "--csv", "custom.csv"],
         ["convergence", "--problem", "dqa1"],
         ["convergence", "--problem", "dqa", "--levels", "2", "--csv", "c.csv"],
+        # sampled quotients with steps under the difference floor, and a
+        # sweep whose last block is partial
+        ["check", "--problem", "dqa1", "--M", "1e-05", "--samples", "65536"],
+        ["check", "--problem", "dqa", "--M", "7.2", "--samples", "10000"],
         # error paths: exit codes and messages
         ["solve", "--problem", "nope"],
         ["solve", "--problem", "dqa1", "--tol", "0"],
@@ -62,6 +66,8 @@ COMMANDS = (
         ["convergence", "--problem", "dqa1", "--h0", "0.3"],
         ["convergence", "--problem", "dqa1", "--levels", "0"],
         ["convergence", "--problem", "nope"],
+        # a report that cannot be written leaves no solution CSV behind
+        ["solve", "--problem", "dqa1", "--json", "missing/r.json"],
     ]
 )
 

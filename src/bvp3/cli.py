@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import fields, replace
 
@@ -120,8 +121,13 @@ def cmd_solve(name, h, tol, max_iter, m_override, csv_path, json_path):
     json_path = json_path or "%s_report.json" % name
     _write_text(csv_path, _csv_text("t,u,du,d2u,phi", (
         grid.nodes, state.u, state.y, state.z, state.phi)))
-    _write_text(json_path,
-                _record_json(report, problem=name, h=h, tol=tol) + "\n")
+    try:
+        _write_text(json_path,
+                    _record_json(report, problem=name, h=h, tol=tol) + "\n")
+    except click.ClickException:
+        # a failed run leaves neither of its files behind
+        os.remove(csv_path)
+        raise
     click.echo("%s: converged in %d sweeps, final update %s; wrote %s and %s"
                % (name, report.iterations, _fmt(report.final_diff),
                   csv_path, json_path))

@@ -8,10 +8,12 @@ sample count, so every verdict is reproducible bit for bit and a verdict
 draws its points at most once: the sup estimates read the first four
 coordinates, the Lipschitz quotients all five.  A verdict evaluates f once
 per point of each box it samples (the full box, and the one-sided box when
-the kernel has constant signs), in fixed blocks of BLOCK = 8192 points, and
-its results are bit for bit those of one whole-array pass.  Sampled suprema
-are lower bounds of the true ones; the verdict records them as estimates,
-not certificates.
+the kernel has constant signs), in fixed blocks of BLOCK = 8192 points whose
+buffers a sweep builds once.  The quotients of the three moved axes form one
+(3, BLOCK) stack, divided and maximised together, and the DIFF_FLOOR mask is
+applied only to a block that has a step under it.  The results are bit for
+bit those of one whole-array pass.  Sampled suprema are lower bounds of the
+true ones; the verdict records them as estimates, not certificates.
 """
 
 from __future__ import annotations
@@ -123,32 +125,51 @@ def _sweep(problem, M, kernel, positive, samples, lipschitz):
     sup of |f|, whether sigma(G) f >= -SIGN_SLACK held (None on the full box)
     and, if `lipschitz`, the largest one-coordinate difference quotients
     against the same base values (else zeros).  f runs once per point, one
-    block of BLOCK points at a time; max is exact and f pointwise, so the
-    results are bit for bit those of one whole-array pass.
+    block of BLOCK points at a time, into buffers built once per sweep; the
+    three moved axes form one (3, BLOCK) stack of quotients, divided and
+    maximised together, without the DIFF_FLOOR mask when no step falls
+    under it.  Max is exact and f pointwise, so the results are bit for bit
+    those of one whole-array pass.
     """
-    lo, span = _box(M, kernel, positive)
+    # t's row of the box starts at 0 with span 1, so t is its Halton row as is
+    lo, span = (a[1:] for a in _box(M, kernel, positive))
     raw = _halton(samples)
+    # buffers for one block, built once; a last, partial block slices them
+    width = min(samples, BLOCK)
+    base_buf, vals_buf = np.empty((3, width)), np.empty(width)
+    if lipschitz:
+        alt_buf, quot_buf = np.empty((3, width)), np.empty((3, width))
     low, high = math.inf, -math.inf
-    ls = [0.0, 0.0, 0.0]
+    ls = np.zeros(3)
     for start in range(0, samples, BLOCK):
         block = raw[:, start:start + BLOCK]
-        base = block[:4] * span
+        n = block.shape[1]
+        t, base, vals = block[0], base_buf[:, :n], vals_buf[:n]
+        np.multiply(block[1:4], span, out=base)
         base += lo
-        vals = _eval_f(problem.f, *base)
+        _eval_f(problem.f, t, *base, out=vals)
         low, high = min(low, vals.min()), max(high, vals.max())
         if not lipschitz:
             continue
-        for axis in (1, 2, 3):
-            alt = lo[axis] + block[4] * span[axis]
-            delta = np.abs(alt - base[axis])
+        # x, y and z moved to the fifth coordinate, one row each
+        alt, quot = alt_buf[:, :n], quot_buf[:, :n]
+        np.multiply(block[4], span, out=alt)
+        alt += lo
+        for axis in range(3):
+            args = [t, *base]
+            args[axis + 1] = alt[axis]
+            _eval_f(problem.f, *args, out=quot[axis])
+        quot -= vals
+        np.abs(quot, out=quot)
+        delta = np.abs(np.subtract(alt, base, out=alt), out=alt)
+        # delta is never nan; with all steps above DIFF_FLOOR no mask is needed
+        if delta.min() > DIFF_FLOOR:
+            quot /= delta
+            np.maximum(ls, quot.max(axis=1), out=ls)
+        else:
             mask = delta > DIFF_FLOOR
-            moved = list(base)
-            moved[axis] = alt
-            quot = _eval_f(problem.f, *moved)
-            quot -= vals
-            np.abs(quot, out=quot)
             np.divide(quot, delta, out=quot, where=mask)
-            ls[axis - 1] = max(ls[axis - 1], quot.max(initial=0.0, where=mask))
+            np.maximum(ls, quot.max(axis=1, initial=0.0, where=mask), out=ls)
     # 0.0 first, so an f that is zero everywhere gives 0.0, never -0.0
     sup = float(max(0.0, high, -low))
     sign_ok = None

@@ -12,8 +12,10 @@ most 2 in t and in s, so a kernel is one read-only 3x3 coefficient table,
 ``upper``, whose entry [a, b] multiplies t^a s^b; the lower one adds
 (t - s)^2 / 2.  Every table, catalog ones included, comes from one 3x3 solve.
 The tables of G, G_t, G_tt and their (9, 6) stack for ``quadrature`` are
-derived once per kernel, read-only.  ``evaluate`` is the one pointwise
-evaluator; grid code lives in ``quadrature``.
+derived once per kernel, read-only, so a kernel can be shared: each catalog
+kernel is built once, on first use, and every caller gets that one.
+``evaluate`` is the one pointwise evaluator; grid code lives in
+``quadrature``.
 
 Signs and norms of constructed kernels come from one pass over the row
 tables: at fixed t each side of a row is a quadratic in s, which its real
@@ -37,6 +39,7 @@ import math
 import numbers
 from dataclasses import astuple, dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -287,9 +290,11 @@ def _upper_table(bc: BoundaryConditions) -> np.ndarray:
     return upper
 
 
+@cache
 def kernel_catalog(case: CaseId) -> GreenKernel:
     """Kernel for a catalog case: the solved table with the closed-form norms
-    and signs, no t-scan."""
+    and signs, no t-scan.  Built once per case and shared: a kernel is frozen
+    and its arrays are read-only."""
     bc, (m0, m1, m2), (sg, sg1) = _CATALOG[case]
     return GreenKernel(upper=_upper_table(bc), sigma_g=sg, sigma_g1=sg1,
                        m0=m0, m1=m1, m2=m2)

@@ -140,12 +140,15 @@ def kernel_for(problem: ProblemSpec) -> GreenKernel:
     return build_general_kernel(problem.bc)
 
 
-def _eval_f(f, t, x, y, z):
-    out = np.empty_like(t)
+def _eval_f(f, t, x, y, z, out=None):
+    """f at the points, written into `out` (a fresh array shaped like t when
+    None) and returned; raises NonFiniteValue if any value is nan or inf."""
+    if out is None:
+        out = np.empty_like(t)
     # overflow inside f is reported by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out[...] = f(t, x, y, z)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteValue("f returned non-finite values")
     return out
 

@@ -301,12 +301,15 @@ def test_convergence_non_finite_f_ends_with_clean_error(runner, monkeypatch):
     ["solve", "--problem", "dqa1", "--csv", "{missing}"],
     ["check", "--problem", "dqa1", "--json", "{missing}"],
     ["kernel", "--case", "1", "--h", "0.1", "--csv", "{missing}"],
-], ids=["solve", "check", "kernel"])
+    ["solve", "--problem", "dqa1", "--json", "{missing}"],
+], ids=["solve", "check", "kernel", "solve-json"])
 def test_output_in_missing_directory_ends_with_clean_error(runner, tmp_path,
                                                            args):
     missing = str(tmp_path / "missing" / "x")
     with runner.isolated_filesystem(temp_dir=tmp_path):
         res = runner.invoke(main, [a.format(missing=missing) for a in args])
+        # the run leaves none of its files, the solve CSV included
+        assert list(Path.cwd().iterdir()) == []
     last = res.output.splitlines()[-1]
     assert res.exit_code == 1
     assert last.startswith("Error: [Errno 2]") and missing in last

@@ -18,7 +18,7 @@ from bvp3 import (BoundaryConditions, CaseId, Grid, ProblemSpec,
                   build_general_kernel, estimate_lipschitz, estimate_sup_f,
                   get_problem, kernel_catalog, kernel_for, list_problems, solve,
                   verdict)
-from bvp3.picard import _eval_f
+from bvp3.picard import NonFiniteValue, _eval_f
 
 CASE1 = kernel_catalog(CaseId.CASE1)
 # u(0) = u'(0) = u(1) = 0 has a slope kernel that changes sign
@@ -366,6 +366,51 @@ def test_blocked_sweep_matches_whole_array_sign_changing(samples):
     problem = ProblemSpec(f=f, bc=SIGN_CHANGING_BC, positive=True)
     for M in (0.5, 2.0):
         _assert_matches_whole_array(problem, SIGN_CHANGING, M, samples)
+
+
+def _masked_steps(M, kernel, samples):
+    """Per axis, the Halton steps of the one-sided box at or under
+    DIFF_FLOOR; and per block, whether any axis has one."""
+    lo, span = conditions._box(M, kernel, True)
+    raw = conditions._halton(samples)
+    base, alt = raw[1:4] * span[1:] + lo[1:], raw[4] * span[1:] + lo[1:]
+    masked = np.abs(alt - base) <= conditions.DIFF_FLOOR
+    blocks = [masked[:, i:i + conditions.BLOCK].any()
+              for i in range(0, samples, conditions.BLOCK)]
+    return tuple(masked.sum(axis=1)), blocks
+
+
+@pytest.mark.parametrize("M, steps, blocks", [
+    # a few masked steps in every block
+    (1e-5, (33, 28, 8), [True] * 8),
+    # masked and unmasked blocks in one sweep
+    (1e-4, (5, 3, 2), [True] * 4 + [False] * 4),
+    # every step under the floor: no quotient counts
+    (1e-12, (65536,) * 3, [True] * 8),
+])
+def test_masked_quotients_match_whole_array(M, steps, blocks):
+    entry = get_problem("dqa1")
+    kernel = kernel_for(entry.problem)
+    assert _masked_steps(M, kernel, 65536) == (steps, blocks)
+    problem = replace(entry.problem, M=M, lipschitz=None)
+    _assert_matches_whole_array(problem, kernel, M, 65536)
+    if M == 1e-12:
+        assert estimate_lipschitz(problem, M, kernel, 65536)[0] == (0.0,) * 3
+
+
+def test_non_finite_on_a_moved_axis_raises():
+    # finite at the base points, inf on the first moved axis
+    calls = []
+
+    def f(t, x, y, z):
+        calls.append(np.size(t))
+        return np.full_like(t, np.inf if len(calls) == 2 else 1.0)
+
+    problem = ProblemSpec(f=f, bc=CaseId.CASE2, positive=True)
+    with pytest.raises(NonFiniteValue, match="non-finite"):
+        estimate_lipschitz(problem, 1.0, kernel_catalog(CaseId.CASE2),
+                           MIXED_BLOCKS)
+    assert calls == [conditions.BLOCK] * 2
 
 
 def _counting(problem):

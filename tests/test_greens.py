@@ -204,6 +204,19 @@ def test_catalog_tables_match_constructor(case):
             [np.concatenate(kernel.tables(k), axis=1) for k in range(3)]))
 
 
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_catalog_kernel_is_built_once_and_shared(case):
+    kernel = kernel_catalog(case)
+    assert kernel_catalog(case) is kernel
+    # shared safely: frozen, with every array read-only
+    for arr in (kernel.upper, kernel._row_stack, *kernel.tables(2)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        kernel.m0 = 0.0
+
+
 def test_general_constructor_hand_oracle():
     # u(0) = u'(0) = u(1) = 0 gives the upper branch -(1-s)^2 t^2 / 2
     bc = BoundaryConditions(1, 0, 0, 0, 1, 0, 1, 0, 0)
