@@ -5,7 +5,7 @@ their output byte for byte.
 
 Each command runs as ``python -m bvp3.cli`` with the tree's ``src`` first on
 PYTHONPATH, in a fresh empty directory that holds only the shared
-boundary-condition file.  Stdout, stderr, the exit code and every file the
+boundary-condition files.  Stdout, stderr, the exit code and every file the
 command writes are compared.  Any difference is printed and the script
 exits 1; identical output exits 0, and a tree that cannot run ``bvp3 list``
 exits 2.
@@ -24,9 +24,24 @@ PROBLEMS = ("yao-feng-7", "yao-feng-8", "feng-liu-4.2", "dqa1", "dqa",
 # the sampled Lipschitz path at the benchmark's 65536 samples
 SAMPLED_M = {"yao-feng-7": "0.99", "yao-feng-8": "3.69", "feng-liu-4.2": "2.43",
              "dqa1": "6.75", "dqa": "7.2", "bai-3.5": "0.75"}
-# u(0) = u'(0) = u(1) = 0: a constructed kernel whose G_t changes sign
-BC_FILE = ("bc.json", {"a1": 1, "b1": 0, "g1": 0, "a2": 0, "b2": 1, "g2": 0,
-                       "a3": 1, "b3": 0, "g3": 0, "endpoints": [0, 0, 1]})
+
+
+def _bc(*coef):
+    """A --bc-file document: the nine coefficients, rows at (0, 0, 1)."""
+    keys = "a1 b1 g1 a2 b2 g2 a3 b3 g3".split()
+    return dict(zip(keys, coef), endpoints=[0, 0, 1])
+
+
+BC_FILES = {
+    # u(0) = u'(0) = u(1) = 0: a constructed kernel whose G_t changes sign
+    "bc.json": _bc(1, 0, 0, 0, 1, 0, 1, 0, 0),
+    # u(0) twice: dependent rows
+    "dependent.json": _bc(1, 0, 0, 1, 0, 0, 0, 1, 0),
+    # no row pins u: independent rows, but no kernel
+    "singular.json": _bc(0, 1, 0, 0, 0, 1, 0, 1, 1),
+    # CASE1 with u(0) = 0 written as 1e12 u(0) = 0
+    "scaled.json": _bc(1e12, 0, 0, 0, 1, 0, 0, 1, 0),
+}
 COMMANDS = (
     [["list"]]
     + [["solve", "--problem", p] for p in PROBLEMS]
@@ -42,7 +57,8 @@ COMMANDS = (
         ["solve", "--problem", "yao-feng-8", "--h", "0.001", "--csv", "u.csv",
          "--json", "r.json"],
         ["solve", "--problem", "dqa", "--M", "3.0"],
-        ["kernel", "--bc-file", BC_FILE[0], "--csv", "custom.csv"],
+        ["kernel", "--bc-file", "bc.json", "--csv", "custom.csv"],
+        ["kernel", "--bc-file", "scaled.json", "--h", "0.05"],
         ["convergence", "--problem", "dqa1"],
         ["convergence", "--problem", "dqa", "--levels", "2", "--csv", "c.csv"],
         # sampled quotients with steps under the difference floor, and a
@@ -62,7 +78,9 @@ COMMANDS = (
         ["check", "--problem", "nope"],
         ["check", "--problem", "dqa1", "--samples", "10"],
         ["kernel", "--case", "1", "--h", "0.3"],
-        ["kernel", "--bc-file", BC_FILE[0], "--h", "0.0"],
+        ["kernel", "--bc-file", "bc.json", "--h", "0.0"],
+        ["kernel", "--bc-file", "dependent.json"],
+        ["kernel", "--bc-file", "singular.json"],
         ["convergence", "--problem", "dqa1", "--h0", "0.3"],
         ["convergence", "--problem", "dqa1", "--levels", "0"],
         ["convergence", "--problem", "nope"],
@@ -77,12 +95,12 @@ def run(tree, args):
     env = dict(os.environ, PYTHONPATH=str(Path(tree, "src").resolve()),
                PYTHONHASHSEED="0")
     with tempfile.TemporaryDirectory() as cwd:
-        name, doc = BC_FILE
-        Path(cwd, name).write_text(json.dumps(doc), encoding="utf-8")
+        for name, doc in BC_FILES.items():
+            Path(cwd, name).write_text(json.dumps(doc), encoding="utf-8")
         proc = subprocess.run([sys.executable, "-m", "bvp3.cli", *args],
                               cwd=cwd, env=env, capture_output=True)
         files = {p.name: p.read_bytes() for p in sorted(Path(cwd).iterdir())
-                 if p.name != name}
+                 if p.name not in BC_FILES}
     return proc.returncode, proc.stdout, proc.stderr, files
 
 

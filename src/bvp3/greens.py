@@ -4,18 +4,17 @@ For each source point s in (0, 1) the kernel t -> G(t, s) solves G''' = 0
 away from the diagonal, satisfies the three boundary functionals, and is C^1
 across t = s with a unit jump in the second t-derivative.  The module carries
 boundary rows and closed-form constants for the four standard condition sets,
-a constructor for arbitrary full-rank coefficient sets, and the sign and norm
-metadata that the iteration and the solvability checks consume.
+a constructor for arbitrary coefficient sets, and the sign and norm metadata
+that the iteration and the solvability checks consume.
 
 Representation: on each side of the diagonal G is a polynomial of degree at
 most 2 in t and in s, so a kernel is one read-only 3x3 coefficient table,
 ``upper``, whose entry [a, b] multiplies t^a s^b; the lower one adds
-(t - s)^2 / 2.  Every table, catalog ones included, comes from one 3x3 solve.
-The tables of G, G_t, G_tt and their (9, 6) stack for ``quadrature`` are
-derived once per kernel, read-only, so a kernel can be shared: each catalog
-kernel is built once, on first use, and every caller gets that one.
-``evaluate`` is the one pointwise evaluator; grid code lives in
-``quadrature``.
+(t - s)^2 / 2.  Every table, catalog ones included, comes from one 3x3 solve
+whose condition number alone accepts the rows, each at unit scale.  The
+tables of G, G_t and G_tt are derived once per kernel as one read-only stack,
+so a kernel can be shared: each catalog kernel is built once, on first use.
+``evaluate`` is the one pointwise evaluator; grid code lives in ``quadrature``.
 
 Signs and norms of constructed kernels come from one pass over the row
 tables: at fixed t each side of a row is a quadratic in s, which its real
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
@@ -69,6 +68,8 @@ _DT_POWERS = tuple(np.linalg.matrix_power(_DT, k) for k in range(3))
 _JUMP = np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]])
 # monomials in s of ((1 - s)^2 / 2, 1 - s, 1), one row each
 _P = np.array([[0.5, -1.0, 0.5], [1.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
+# u, u', u'' at t = 1 of c1 + c2 t + c3 t^2 / 2 in (c1, c2, c3), a row each
+_AT_ONE = np.array([[1.0, 1.0, 0.5], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
 
 
 class RankDeficientBC(ValueError):
@@ -116,15 +117,8 @@ class BoundaryConditions:
             (self.a3, self.b3, self.g3, self.endpoints[2]),
         )
 
-    def block_matrix(self):
-        """3x6 matrix with each row's coefficients placed in the column block
-        of its endpoint.  Full rank 3 is what independence means here."""
-        m = np.zeros((3, 6))
-        for i, (a, b, g, e) in enumerate(self.rows()):
-            m[i, 3 * e:3 * e + 3] = (a, b, g)
-        return m
-
     def validate(self):
+        """Input checks only: endpoints 0 or 1, finite real coefficients."""
         ends = self.endpoints
         if not (isinstance(ends, tuple) and len(ends) == 3
                 and all(isinstance(e, numbers.Integral)
@@ -132,10 +126,14 @@ class BoundaryConditions:
                         for e in ends)):
             raise ValueError("endpoints must be a triple of 0s and 1s")
         if not all(isinstance(c, numbers.Real) and math.isfinite(c)
-                   for c in astuple(self)[:9]):
+                   for row in self.rows() for c in row[:3]):
             raise ValueError("boundary coefficients must be finite numbers")
-        if np.linalg.matrix_rank(self.block_matrix()) < 3:
-            raise RankDeficientBC("boundary rows are linearly dependent")
+
+
+def _row_scale(a, b, g):
+    """Largest |coefficient| of a u + b u' + g u'', 1 for a zero row: the row
+    is read divided by it, so its scale decides nothing (1 divides exactly)."""
+    return max(abs(a), abs(b), abs(g)) or 1.0
 
 
 # case -> (boundary rows a1..g3 and endpoints, (M0, M1, M2),
@@ -180,11 +178,10 @@ def _read_only(table):
 
 
 def _row_tables(upper):
-    """Read-only (lower, upper) tables of G, G_t and G_tt, one pair each; the
-    lower table is upper + (t - s)^2 / 2, formed here and nowhere else."""
+    """Read-only (3, 2, 3, 3) stack of the (lower, upper) tables of G, G_t and
+    G_tt; the lower table is upper + (t - s)^2 / 2, formed here only."""
     lower = upper + _JUMP
-    return tuple((_read_only(d @ lower), _read_only(d @ upper))
-                 for d in _DT_POWERS)
+    return _read_only([(d @ lower, d @ upper) for d in _DT_POWERS])
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,27 +193,34 @@ class GreenKernel:
     t^a s^b; ``tables`` derives the one on s <= t, upper + (t - s)^2 / 2.
     sigma_g and sigma_g1 are -1, 0 or +1; zero means the row has no constant
     sign on the square.  m0, m1, m2 are the max-over-t integrals of |G|,
-    |G_t|, |G_tt|.  Catalog kernels carry closed-form signs and norms,
-    constructed ones those of ``_signs_and_norms``: exact in s, scanned in t.
+    |G_t|, |G_tt|.  Catalog kernels pass closed-form values; any left out are
+    read off the row tables by ``_signs_and_norms``: exact in s, scanned in t.
     """
 
     upper: np.ndarray
-    sigma_g: int
-    sigma_g1: int
-    m0: float
-    m1: float
-    m2: float
+    sigma_g: int = None
+    sigma_g1: int = None
+    m0: float = None
+    m1: float = None
+    m2: float = None
 
     def __post_init__(self):
         object.__setattr__(self, "upper", _read_only(self.upper))
-        object.__setattr__(self, "_rows", _row_tables(self.upper))
+        rows = _row_tables(self.upper)
+        object.__setattr__(self, "_rows", rows)
         # (9, 6) for quadrature.apply_rows: row 3 k + a is row a of pair k
         object.__setattr__(self, "_row_stack", _read_only(
-            np.array(self._rows).transpose(0, 2, 1, 3).reshape(9, 6)))
+            rows.transpose(0, 2, 1, 3).reshape(9, 6)))
+        names = ("sigma_g", "sigma_g1", "m0", "m1", "m2")
+        given = [getattr(self, name) for name in names]
+        if None in given:
+            (sg, sg1), norms = _signs_and_norms(rows)
+            for name, old, new in zip(names, given, (sg, sg1, *norms)):
+                object.__setattr__(self, name, new if old is None else old)
 
     def tables(self, order=0):
-        """(lower, upper) tables of the order-th t-derivative, order 0, 1 or 2;
-        derived once per kernel and read-only."""
+        """(lower, upper) tables of the order-th t-derivative, order 0, 1 or 2,
+        as one read-only (2, 3, 3) view of the kernel's row stack."""
         return self._rows[order]
 
     def _select(self, order, t, s):
@@ -265,27 +269,28 @@ class GreenKernel:
 def _upper_table(bc: BoundaryConditions) -> np.ndarray:
     """Upper table of the kernel for the boundary rows bc, from one 3x3 solve.
 
-    The upper branch is the quadratic c1(s) + c2(s) t + c3(s) t^2 / 2 and the
-    lower branch adds the particular part (t - s)^2 / 2.  Applying the three
-    boundary rows gives a 3x3 linear system whose matrix does not depend on
-    s and whose right-hand side is linear in the monomials
-    ((1-s)^2/2, 1-s, 1), so one solve yields the table.
+    The upper branch is c1(s) + c2(s) t + c3(s) t^2 / 2 and the lower one adds
+    (t - s)^2 / 2.  The rows, each at unit ``_row_scale``, give a 3x3 system
+    whose matrix does not depend on s and whose right-hand side is linear in
+    ((1-s)^2/2, 1-s, 1), so one solve yields the table.  Its condition number
+    alone accepts the rows (exactly dependent rows always fail it); a rank
+    test of the rows as given then names the failure.
     """
-    a_mat = np.zeros((3, 3))
-    r_mat = np.zeros((3, 3))
+    # each row in the column block of its endpoint, t = 0 or t = 1
+    block, scale = np.zeros((3, 6)), np.empty((3, 1))
     for i, (a, b, g, e) in enumerate(bc.rows()):
-        if e == 0:
-            a_mat[i] = (a, b, g)
-        else:
-            # row applied at t=1 picks up the particular part, collected
-            # into r_mat against the monomials ((1-s)^2/2, (1-s), 1)
-            a_mat[i] = (a, a + b, 0.5 * a + b + g)
-            r_mat[i] = (a, b, g)
+        block[i, 3 * e:3 * e + 3] = (a, b, g)
+        scale[i] = _row_scale(a, b, g)
+    unit = block / scale
+    # a row at t = 1 picks up the particular part: its right-hand side
+    a_mat = unit[:, :3] + unit[:, 3:] @ _AT_ONE
     cond = np.linalg.cond(a_mat)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        if np.linalg.matrix_rank(block) < 3:
+            raise RankDeficientBC("boundary rows are linearly dependent")
         raise SingularBoundarySystem(
             "boundary system is numerically singular (condition %.3e)" % cond)
-    upper = -np.linalg.solve(a_mat, r_mat) @ _P
+    upper = -np.linalg.solve(a_mat, unit[:, 3:]) @ _P
     upper[2] *= 0.5  # c3 multiplies t^2 / 2
     return upper
 
@@ -295,21 +300,16 @@ def kernel_catalog(case: CaseId) -> GreenKernel:
     """Kernel for a catalog case: the solved table with the closed-form norms
     and signs, no t-scan.  Built once per case and shared: a kernel is frozen
     and its arrays are read-only."""
-    bc, (m0, m1, m2), (sg, sg1) = _CATALOG[case]
-    return GreenKernel(upper=_upper_table(bc), sigma_g=sg, sigma_g1=sg1,
-                       m0=m0, m1=m1, m2=m2)
+    bc, norms, signs = _CATALOG[case]
+    return GreenKernel(_upper_table(bc), *signs, *norms)
 
 
 def build_general_kernel(bc: BoundaryConditions) -> GreenKernel:
-    """Construct the kernel for arbitrary full-rank boundary coefficients:
-    the upper table from the solve in ``_upper_table``, the signs and norms
-    from one pass over its row tables (``_signs_and_norms``), and then the
-    kernel, built once with its final metadata."""
+    """Kernel for arbitrary boundary coefficients: ``validate``, the table of
+    ``_upper_table`` (its condition test alone accepts the rows), and the
+    kernel, whose row tables, derived once, give its signs and norms."""
     bc.validate()
-    upper = _upper_table(bc)
-    (sg, sg1), (m0, m1, m2) = _signs_and_norms(_row_tables(upper))
-    return GreenKernel(upper=upper, sigma_g=sg, sigma_g1=sg1,
-                       m0=m0, m1=m1, m2=m2)
+    return GreenKernel(upper=_upper_table(bc))
 
 
 def _pieces(coef, lo, hi):
@@ -381,7 +381,7 @@ def _signs_and_norms(rows):
     estimate, not a certified bound: it cannot exceed the true norm beyond
     rounding, but a peak narrower than the coarse spacing could be missed.
     """
-    tables = np.swapaxes(np.array(rows), 2, 3)
+    tables = np.swapaxes(np.asarray(rows), 2, 3)
     step = 1.0 / NORM_SCAN_N
     t = _SCAN_T
     pieces, vals = _row_pieces(tables, *_SCAN)

@@ -259,6 +259,22 @@ def test_kernel_bc_file_case3_matches_catalog(runner, tmp_path):
         assert Path("custom.csv").read_bytes() == Path("case3.csv").read_bytes()
 
 
+def test_kernel_bc_file_row_scale_matches_catalog(runner, tmp_path):
+    # CASE1 with u(0) = 0 written as 1e12 u(0) = 0: a row's scale decides
+    # nothing, so the dump is the catalog one byte for byte
+    case1 = {"a1": 1e12, "b1": 0, "g1": 0, "a2": 0, "b2": 1, "g2": 0,
+             "a3": 0, "b3": 1, "g3": 0}
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("scaled.json").write_text(json.dumps(case1))
+        res = runner.invoke(main, ["kernel", "--bc-file", "scaled.json",
+                                   "--h", "0.05", "--csv", "custom.csv"])
+        assert res.exit_code == 0
+        res = runner.invoke(main, ["kernel", "--case", "1", "--h", "0.05",
+                                   "--csv", "case1.csv"])
+        assert res.exit_code == 0
+        assert Path("custom.csv").read_bytes() == Path("case1.csv").read_bytes()
+
+
 def test_kernel_usage_errors(runner):
     assert runner.invoke(main, ["kernel"]).exit_code == 2
     res = runner.invoke(main, ["kernel", "--case", "1", "--bc-file", "x"])

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from bvp3 import (BoundaryConditions, CaseId, build_general_kernel,
                   case_boundary_conditions, kernel_catalog,
                   numeric_kernel_norms)
+from bvp3 import greens
 from bvp3.greens import (NORM_SCAN_N, NORM_ZOOM_N, NORM_ZOOMS, SIGN_TOL,
                          RankDeficientBC, SingularBoundarySystem, _pieces,
                          _signs_and_norms, evaluate)
@@ -239,25 +240,100 @@ def test_general_constructor_respects_rows():
                 assert abs(a * vals[0] + b * vals[1] + g * vals[2]) <= 1e-10
 
 
+def _dependent_sets(count, seed):
+    """count boundary sets with exactly dependent rows, in turn: a zero row,
+    two proportional rows at one end, and a third row that combines two at
+    its end.  Coefficients are multiples of 1/16 and the multipliers small
+    integers, so each dependence holds in floating point with no rounding."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        rows = rng.integers(-16, 17, (3, 3)) / 16.0
+        ends = list(rng.integers(0, 2, 3))
+        j, k, m = rng.permutation(3)
+        if i % 3 == 0:
+            rows[j] = 0.0
+        elif i % 3 == 1:
+            rows[k] = rng.choice([-3, -2, -1, 2, 3]) * rows[j]
+            ends[k] = ends[j]
+        else:
+            x, y = rng.integers(-3, 4, 2)
+            rows[m] = x * rows[j] + y * rows[k]
+            ends[j] = ends[k] = ends[m]
+        yield BoundaryConditions(*rows.ravel(),
+                                 endpoints=tuple(map(int, ends)))
+
+
 def test_rank_deficient_rejected():
+    # the condition test alone rejects them, and the rank test of the
+    # rejected set names the reason; then 2100 seeded dependent sets
     with pytest.raises(RankDeficientBC):
         build_general_kernel(BoundaryConditions(1, 0, 0, 1, 0, 0, 0, 1, 0))
     with pytest.raises(RankDeficientBC):
         build_general_kernel(
             BoundaryConditions(1, 2, 0, 2, 4, 0, 0, 0, 1, endpoints=(0, 0, 1)))
+    for bc in _dependent_sets(2100, seed=25):
+        with pytest.raises(RankDeficientBC):
+            build_general_kernel(bc)
 
 
 def test_full_rank_but_singular_system():
     # no row pins the solution value, so constants solve the homogeneous
-    # problem even though the three rows are independent
+    # problem even though the three rows are independent; then 50 random
+    # such sets per endpoint pattern with rows at both ends
     bc = BoundaryConditions(0, 1, 0, 0, 0, 1, 0, 1, 1)
     with pytest.raises(SingularBoundarySystem):
         build_general_kernel(bc)
+    rng = np.random.default_rng(26)
+    for ends in ENDPOINTS:
+        if len(set(ends)) == 1:
+            continue  # three b u' + g u'' rows at one end are dependent
+        for _ in range(50):
+            rows = rng.uniform(-1.0, 1.0, (3, 3))
+            rows[:, 0] = 0.0
+            with pytest.raises(SingularBoundarySystem):
+                build_general_kernel(
+                    BoundaryConditions(*rows.ravel(), endpoints=ends))
 
 
 def test_same_row_at_both_ends_is_independent():
+    # u(0) = 0 and u(1) = 0 are one row at two ends: independent, so the
+    # constructor accepts them (validate checks only the input itself)
     bc = BoundaryConditions(1, 0, 0, 0, 1, 0, 1, 0, 0)
-    bc.validate()
+    k = build_general_kernel(bc)
+    assert k.g(1.0, 0.5) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_valid_set_is_tested_once_and_tabled_once(monkeypatch):
+    # one SVD decides (the condition number); the rank test and a second
+    # derivation of the row tables are not run
+    calls = {"rank": 0, "tables": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "matrix_rank",
+                        counted("rank", np.linalg.matrix_rank))
+    monkeypatch.setattr(greens, "_row_tables",
+                        counted("tables", greens._row_tables))
+    build_general_kernel(BoundaryConditions(1, 0, 0, 0, 1, 0, 1, 0, 0))
+    assert calls == {"rank": 0, "tables": 1}
+    with pytest.raises(RankDeficientBC):
+        build_general_kernel(BoundaryConditions(1, 0, 0, 2, 0, 0, 0, 1, 0))
+    assert calls == {"rank": 1, "tables": 1}
+
+
+@pytest.mark.parametrize("scale", [1e12, 1e15, 1e-13, 1e300])
+def test_row_scale_does_not_decide(scale):
+    # u(0) = 0 written as scale * u(0) = 0 is still CASE1: the same table,
+    # bit for bit, and the same signs and norms as the unit row
+    unit = build_general_kernel(case_boundary_conditions(CaseId.CASE1))
+    k = build_general_kernel(BoundaryConditions(scale, 0, 0, 0, 1, 0, 0, 1, 0))
+    assert np.array_equal(k.upper, kernel_catalog(CaseId.CASE1).upper)
+    assert k.norms() == unit.norms()
+    assert (k.sigma_g, k.sigma_g1) == (unit.sigma_g, unit.sigma_g1)
 
 
 def test_bad_endpoints_rejected():

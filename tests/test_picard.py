@@ -201,6 +201,23 @@ def test_residual_boundary_rows_match_conditions(solved):
     assert abs(state.u[0]) == pytest.approx(defects[0], abs=1e-15)
 
 
+def test_residual_reads_rows_at_unit_scale():
+    # u'(1) = 0 written as 1e6 u'(1) = 0 is the same condition: the defect
+    # is read on the row divided by its largest |coefficient|, as the kernel
+    # constructor reads it (unscaled, this row's defect read 27.27)
+    f = lambda t, x, y, z: -np.exp(x)
+    out = []
+    for scale in (1.0, 1e6):
+        problem = ProblemSpec(f=f, bc=BoundaryConditions(
+            1, 0, 0, 0, 1, 0, 0, scale, 0))
+        state, report = solve(problem, GRID)
+        out.append((report.residual, residual_parts(state, problem, GRID)[1]))
+    (unit, unit_defects), (scaled, scaled_defects) = out
+    assert unit == pytest.approx(4.1177517e-05, rel=1e-6)
+    assert scaled == pytest.approx(unit, rel=1e-15, abs=0)
+    assert_allclose(scaled_defects, unit_defects, rtol=1e-15, atol=0)
+
+
 def _plain_interior(state, problem, grid, k=1):
     """The residual's interior stencil written out on every k-th node."""
     u, h = state.u[::k], k * grid.h
