@@ -41,6 +41,13 @@ BC_FILES = {
     "singular.json": _bc(0, 1, 0, 0, 0, 1, 0, 1, 1),
     # CASE1 with u(0) = 0 written as 1e12 u(0) = 0
     "scaled.json": _bc(1e12, 0, 0, 0, 1, 0, 0, 1, 0),
+    # rows dependent to within 1e-13, all at t = 0
+    "near_dependent.json": dict(_bc(1, 0, 0, 0, 1, 0, 1, 1, 1e-13),
+                                endpoints=[0, 0, 0]),
+    # singular.json with its third row scaled by 1e15
+    "scaled_singular.json": _bc(0, 1, 0, 0, 0, 1, 0, 1e15, 1e15),
+    # a JSON true as a coefficient
+    "flag.json": _bc(True, 0, 0, 0, 1, 0, 0, 1, 0),
 }
 COMMANDS = (
     [["list"]]
@@ -81,6 +88,9 @@ COMMANDS = (
         ["kernel", "--bc-file", "bc.json", "--h", "0.0"],
         ["kernel", "--bc-file", "dependent.json"],
         ["kernel", "--bc-file", "singular.json"],
+        ["kernel", "--bc-file", "near_dependent.json"],
+        ["kernel", "--bc-file", "scaled_singular.json"],
+        ["kernel", "--bc-file", "flag.json"],
         ["convergence", "--problem", "dqa1", "--h0", "0.3"],
         ["convergence", "--problem", "dqa1", "--levels", "0"],
         ["convergence", "--problem", "nope"],

@@ -163,16 +163,11 @@ def _bc_from_file(path):
     unknown = sorted(set(raw) - set(keys) - {"endpoints"})
     if unknown:
         raise click.ClickException("bc file has unknown %s" % ", ".join(unknown))
-    # JSON true/false would pass as numbers
-    bad = [k for k in keys
-           if isinstance(raw[k], bool) or not isinstance(raw[k], (int, float))]
-    if bad:
-        raise click.ClickException("bc file has non-numeric %s" % ", ".join(bad))
     endpoints = raw.get("endpoints", (0, 0, 1))
     if isinstance(endpoints, list):
         endpoints = tuple(endpoints)
-    return BoundaryConditions(*(float(raw[k]) for k in keys),
-                              endpoints=endpoints)
+    # validate, in build_general_kernel, checks the values as read
+    return BoundaryConditions(*(raw[k] for k in keys), endpoints=endpoints)
 
 
 @main.command("kernel")

@@ -10,14 +10,16 @@ that the iteration and the solvability checks consume.
 Representation: on each side of the diagonal G is a polynomial of degree at
 most 2 in t and in s, so a kernel is one read-only 3x3 coefficient table,
 ``upper``, whose entry [a, b] multiplies t^a s^b; the lower one adds
-(t - s)^2 / 2.  Every table, catalog ones included, comes from one 3x3 solve
-whose condition number alone accepts the rows, each at unit scale.  The
+(t - s)^2 / 2; ``GreenKernel(upper)`` is the one constructor.  Every table,
+catalog ones included, comes from one 3x3 solve on the unit rows of
+``BoundaryConditions.rows``, and one condition test accepts and names.  The
 tables of G, G_t and G_tt are derived once per kernel as one read-only stack,
 so a kernel can be shared: each catalog kernel is built once, on first use.
 ``evaluate`` is the one pointwise evaluator; grid code lives in ``quadrature``.
 
-Signs and norms of constructed kernels come from one pass over the row
-tables: at fixed t each side of a row is a quadratic in s, which its real
+Signs and norms are a function of the table: a catalog table, bit for bit,
+carries its closed forms, and any other is read in one pass over its row
+tables.  At fixed t each side of a row is a quadratic in s, which its real
 roots split into pieces of constant sign, each integral an antiderivative
 difference.  The pieces' absolute values add up to the exact integral of
 |row| at that t, and their signs give the row's sign, so both are exact in
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 
@@ -70,6 +72,8 @@ _JUMP = np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]])
 _P = np.array([[0.5, -1.0, 0.5], [1.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
 # u, u', u'' at t = 1 of c1 + c2 t + c3 t^2 / 2 in (c1, c2, c3), a row each
 _AT_ONE = np.array([[1.0, 1.0, 0.5], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+# the coefficient fields of BoundaryConditions, row by row
+_COEFFICIENTS = ("a1", "b1", "g1", "a2", "b2", "g2", "a3", "b3", "g3")
 
 
 class RankDeficientBC(ValueError):
@@ -111,29 +115,32 @@ class BoundaryConditions:
     endpoints: tuple = (0, 0, 1)
 
     def rows(self):
-        return (
-            (self.a1, self.b1, self.g1, self.endpoints[0]),
-            (self.a2, self.b2, self.g2, self.endpoints[1]),
-            (self.a3, self.b3, self.g3, self.endpoints[2]),
-        )
+        """The rows as (a, b, g, endpoint) in floats, each divided by its
+        largest |coefficient| (a zero row as it is), so its scale decides
+        nothing; ``validate`` checks outside input first."""
+        coef = [float(getattr(self, name)) for name in _COEFFICIENTS]
+        rows = []
+        for j, end in enumerate(self.endpoints):
+            a, b, g = coef[3 * j:3 * j + 3]
+            scale = max(abs(a), abs(b), abs(g)) or 1.0
+            rows.append((a / scale, b / scale, g / scale, end))
+        return tuple(rows)
 
     def validate(self):
-        """Input checks only: endpoints 0 or 1, finite real coefficients."""
+        """Input checks only, field by field: endpoints a triple of 0s and 1s,
+        finite real coefficients, and no booleans in either."""
         ends = self.endpoints
         if not (isinstance(ends, tuple) and len(ends) == 3
                 and all(isinstance(e, numbers.Integral)
                         and not isinstance(e, bool) and e in (0, 1)
                         for e in ends)):
             raise ValueError("endpoints must be a triple of 0s and 1s")
-        if not all(isinstance(c, numbers.Real) and math.isfinite(c)
-                   for row in self.rows() for c in row[:3]):
-            raise ValueError("boundary coefficients must be finite numbers")
-
-
-def _row_scale(a, b, g):
-    """Largest |coefficient| of a u + b u' + g u'', 1 for a zero row: the row
-    is read divided by it, so its scale decides nothing (1 divides exactly)."""
-    return max(abs(a), abs(b), abs(g)) or 1.0
+        for name in _COEFFICIENTS:
+            c = getattr(self, name)
+            if (isinstance(c, bool) or not isinstance(c, numbers.Real)
+                    or not math.isfinite(c)):
+                raise ValueError("boundary coefficients must be finite "
+                                 "numbers: %s is %r" % (name, c))
 
 
 # case -> (boundary rows a1..g3 and endpoints, (M0, M1, M2),
@@ -186,37 +193,34 @@ def _row_tables(upper):
 
 @dataclass(frozen=True, eq=False)
 class GreenKernel:
-    """Piecewise-quadratic kernel as one coefficient table, plus solver
-    metadata.
+    """Piecewise-quadratic kernel: one coefficient table and its metadata.
 
-    upper is the read-only 3x3 table of G on t <= s, entry [a, b] multiplying
-    t^a s^b; ``tables`` derives the one on s <= t, upper + (t - s)^2 / 2.
-    sigma_g and sigma_g1 are -1, 0 or +1; zero means the row has no constant
-    sign on the square.  m0, m1, m2 are the max-over-t integrals of |G|,
-    |G_t|, |G_tt|.  Catalog kernels pass closed-form values; any left out are
-    read off the row tables by ``_signs_and_norms``: exact in s, scanned in t.
+    upper, the one argument, is the 3x3 table of G on t <= s, entry [a, b]
+    multiplying t^a s^b, kept read-only; ``tables`` derives the one on
+    s <= t.  sigma_g and sigma_g1 are -1, 0 or +1; zero means the row has no
+    constant sign on the square.  m0, m1, m2 are the max-over-t integrals of
+    |G|, |G_t|, |G_tt|: a catalog table's closed forms, else read off the
+    row tables by ``_signs_and_norms``, exact in s and scanned in t.
     """
 
     upper: np.ndarray
-    sigma_g: int = None
-    sigma_g1: int = None
-    m0: float = None
-    m1: float = None
-    m2: float = None
+    sigma_g: int = field(init=False)
+    sigma_g1: int = field(init=False)
+    m0: float = field(init=False)
+    m1: float = field(init=False)
+    m2: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "upper", _read_only(self.upper))
-        rows = _row_tables(self.upper)
-        object.__setattr__(self, "_rows", rows)
+        upper = _read_only(self.upper)
+        rows = _row_tables(upper)
+        signs, norms = (_CLOSED_FORMS.get(upper.tobytes())
+                        or _signs_and_norms(rows))
         # (9, 6) for quadrature.apply_rows: row 3 k + a is row a of pair k
-        object.__setattr__(self, "_row_stack", _read_only(
-            rows.transpose(0, 2, 1, 3).reshape(9, 6)))
-        names = ("sigma_g", "sigma_g1", "m0", "m1", "m2")
-        given = [getattr(self, name) for name in names]
-        if None in given:
-            (sg, sg1), norms = _signs_and_norms(rows)
-            for name, old, new in zip(names, given, (sg, sg1, *norms)):
-                object.__setattr__(self, name, new if old is None else old)
+        stack = _read_only(rows.transpose(0, 2, 1, 3).reshape(9, 6))
+        names = ("upper", "_rows", "_row_stack", "sigma_g", "sigma_g1",
+                 "m0", "m1", "m2")
+        for name, value in zip(names, (upper, rows, stack, *signs, *norms)):
+            object.__setattr__(self, name, value)
 
     def tables(self, order=0):
         """(lower, upper) tables of the order-th t-derivative, order 0, 1 or 2,
@@ -270,46 +274,47 @@ def _upper_table(bc: BoundaryConditions) -> np.ndarray:
     """Upper table of the kernel for the boundary rows bc, from one 3x3 solve.
 
     The upper branch is c1(s) + c2(s) t + c3(s) t^2 / 2 and the lower one adds
-    (t - s)^2 / 2.  The rows, each at unit ``_row_scale``, give a 3x3 system
-    whose matrix does not depend on s and whose right-hand side is linear in
-    ((1-s)^2/2, 1-s, 1), so one solve yields the table.  Its condition number
-    alone accepts the rows (exactly dependent rows always fail it); a rank
-    test of the rows as given then names the failure.
+    (t - s)^2 / 2.  The unit rows of ``bc.rows()`` give a 3x3 system whose
+    matrix does not depend on s and whose right-hand side is linear in
+    ((1-s)^2/2, 1-s, 1), so one solve yields the table.  Its condition
+    number alone accepts the rows (exactly dependent rows always fail it);
+    the same test on the (3, 6) block of unit rows names a rejection.
     """
     # each row in the column block of its endpoint, t = 0 or t = 1
-    block, scale = np.zeros((3, 6)), np.empty((3, 1))
+    block = np.zeros((3, 6))
     for i, (a, b, g, e) in enumerate(bc.rows()):
         block[i, 3 * e:3 * e + 3] = (a, b, g)
-        scale[i] = _row_scale(a, b, g)
-    unit = block / scale
     # a row at t = 1 picks up the particular part: its right-hand side
-    a_mat = unit[:, :3] + unit[:, 3:] @ _AT_ONE
+    a_mat = block[:, :3] + block[:, 3:] @ _AT_ONE
     cond = np.linalg.cond(a_mat)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        if np.linalg.matrix_rank(block) < 3:
+    if not cond <= CONDITION_LIMIT:  # nan fails too
+        if not np.linalg.cond(block) <= CONDITION_LIMIT:
             raise RankDeficientBC("boundary rows are linearly dependent")
         raise SingularBoundarySystem(
             "boundary system is numerically singular (condition %.3e)" % cond)
-    upper = -np.linalg.solve(a_mat, unit[:, 3:]) @ _P
+    upper = -np.linalg.solve(a_mat, block[:, 3:]) @ _P
     upper[2] *= 0.5  # c3 multiplies t^2 / 2
     return upper
 
 
+# catalog table bytes -> closed-form (signs, norms), read by GreenKernel
+_CLOSED_FORMS = {_upper_table(bc).tobytes(): (signs, norms)
+                 for bc, norms, signs in _CATALOG.values()}
+
+
 @cache
 def kernel_catalog(case: CaseId) -> GreenKernel:
-    """Kernel for a catalog case: the solved table with the closed-form norms
-    and signs, no t-scan.  Built once per case and shared: a kernel is frozen
-    and its arrays are read-only."""
-    bc, norms, signs = _CATALOG[case]
-    return GreenKernel(_upper_table(bc), *signs, *norms)
+    """Kernel for a catalog case, whose table carries its closed forms; built
+    once and shared, as a kernel is frozen and its arrays read-only."""
+    return GreenKernel(_upper_table(_CATALOG[case][0]))
 
 
 def build_general_kernel(bc: BoundaryConditions) -> GreenKernel:
-    """Kernel for arbitrary boundary coefficients: ``validate``, the table of
-    ``_upper_table`` (its condition test alone accepts the rows), and the
-    kernel, whose row tables, derived once, give its signs and norms."""
+    """Kernel for arbitrary boundary coefficients: ``validate`` on the input,
+    then the kernel of ``_upper_table``'s table, whose condition test alone
+    accepts the rows."""
     bc.validate()
-    return GreenKernel(upper=_upper_table(bc))
+    return GreenKernel(_upper_table(bc))
 
 
 def _pieces(coef, lo, hi):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .greens import (BoundaryConditions, CaseId, GreenKernel, _row_scale,
+from .greens import (BoundaryConditions, CaseId, GreenKernel,
                      build_general_kernel, case_boundary_conditions,
                      kernel_catalog)
 # kernel_row_matrix is unused here; perfbench's tracer wraps it under this name
@@ -244,7 +244,7 @@ def residual_parts(state: IterationState, problem: ProblemSpec, grid: Grid):
     with k the smallest stride whose spacing k h reaches eps^(1/5) (k = 1
     up to n = 1351), so that at fine grids its roundoff does not swamp the
     residual.  Boundary values of u' and u'' use one-sided second-order
-    stencils at spacing h.  A row's defect is divided by its ``_row_scale``.
+    stencils at spacing h.  Defects are those of the unit rows of ``rows``.
     """
     n, h = grid.n, grid.h
     if n < 4:
@@ -264,7 +264,7 @@ def residual_parts(state: IterationState, problem: ProblemSpec, grid: Grid):
     defects = []
     for a, b, g, e in problem.boundary_conditions().rows():
         v, dv, ddv = end_vals[e]
-        defects.append(abs(a * v + b * dv + g * ddv) / _row_scale(a, b, g))
+        defects.append(abs(a * v + b * dv + g * ddv))
     return interior, np.asarray(defects)
 
 

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bvp3 import (BoundaryConditions, CaseId, build_general_kernel,
-                  case_boundary_conditions, kernel_catalog,
-                  numeric_kernel_norms)
+from bvp3 import (BoundaryConditions, CaseId, GreenKernel,
+                  build_general_kernel, case_boundary_conditions,
+                  kernel_catalog, numeric_kernel_norms)
 from bvp3 import greens
 from bvp3.greens import (NORM_SCAN_N, NORM_ZOOM_N, NORM_ZOOMS, SIGN_TOL,
                          RankDeficientBC, SingularBoundarySystem, _pieces,
@@ -263,9 +263,22 @@ def _dependent_sets(count, seed):
                                  endpoints=tuple(map(int, ends)))
 
 
+def _near_dependent_sets(count, seed):
+    """count boundary sets, all rows at one end, whose third row combines
+    the other two, with weights of size 0.5 to 2, plus a perturbation of at
+    most 1e-13 in each coefficient."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        rows = rng.uniform(-1.0, 1.0, (3, 3))
+        x, y = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.5, 2.0, 2)
+        rows[2] = x * rows[0] + y * rows[1] + rng.uniform(-1e-13, 1e-13, 3)
+        end = int(rng.integers(0, 2))
+        yield BoundaryConditions(*rows.ravel(), endpoints=(end,) * 3)
+
+
 def test_rank_deficient_rejected():
-    # the condition test alone rejects them, and the rank test of the
-    # rejected set names the reason; then 2100 seeded dependent sets
+    # the condition test alone rejects them, and the same test on the unit
+    # rows names the reason; then 2100 seeded dependent sets
     with pytest.raises(RankDeficientBC):
         build_general_kernel(BoundaryConditions(1, 0, 0, 1, 0, 0, 0, 1, 0))
     with pytest.raises(RankDeficientBC):
@@ -274,6 +287,29 @@ def test_rank_deficient_rejected():
     for bc in _dependent_sets(2100, seed=25):
         with pytest.raises(RankDeficientBC):
             build_general_kernel(bc)
+
+
+def test_near_dependent_rows_are_dependent():
+    # rows dependent to within 1e-13 are named dependent, as the exactly
+    # dependent ones are: the rows as given are of full rank, but the unit
+    # rows fail the same condition test as the system
+    with pytest.raises(RankDeficientBC):
+        build_general_kernel(
+            BoundaryConditions(1, 0, 0, 0, 1, 0, 1, 1, 1e-13,
+                               endpoints=(0, 0, 0)))
+    for bc in _near_dependent_sets(500, seed=2601):
+        with pytest.raises(RankDeficientBC):
+            build_general_kernel(bc)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e15, 1e-15])
+def test_rejection_reason_does_not_depend_on_row_scale(scale):
+    # no row pins u: independent rows, but no kernel, at every scale of the
+    # third row (at 1e15 a rank test of the rows as given read them as
+    # dependent)
+    with pytest.raises(SingularBoundarySystem):
+        build_general_kernel(
+            BoundaryConditions(0, 1, 0, 0, 0, 1, 0, scale, scale))
 
 
 def test_full_rank_but_singular_system():
@@ -304,9 +340,10 @@ def test_same_row_at_both_ends_is_independent():
 
 
 def test_valid_set_is_tested_once_and_tabled_once(monkeypatch):
-    # one SVD decides (the condition number); the rank test and a second
-    # derivation of the row tables are not run
-    calls = {"rank": 0, "tables": 0}
+    # one condition number decides a valid set, and a rejected one takes a
+    # second, of its unit rows, to name the reason; no rank test runs, and
+    # the row tables are derived once
+    calls = {"cond": 0, "rank": 0, "tables": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -314,15 +351,19 @@ def test_valid_set_is_tested_once_and_tabled_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    monkeypatch.setattr(np.linalg, "cond", counted("cond", np.linalg.cond))
     monkeypatch.setattr(np.linalg, "matrix_rank",
                         counted("rank", np.linalg.matrix_rank))
     monkeypatch.setattr(greens, "_row_tables",
                         counted("tables", greens._row_tables))
     build_general_kernel(BoundaryConditions(1, 0, 0, 0, 1, 0, 1, 0, 0))
-    assert calls == {"rank": 0, "tables": 1}
+    assert calls == {"cond": 1, "rank": 0, "tables": 1}
     with pytest.raises(RankDeficientBC):
         build_general_kernel(BoundaryConditions(1, 0, 0, 2, 0, 0, 0, 1, 0))
-    assert calls == {"rank": 1, "tables": 1}
+    assert calls == {"cond": 3, "rank": 0, "tables": 1}
+    with pytest.raises(SingularBoundarySystem):
+        build_general_kernel(BoundaryConditions(0, 1, 0, 0, 0, 1, 0, 1, 1))
+    assert calls == {"cond": 5, "rank": 0, "tables": 1}
 
 
 @pytest.mark.parametrize("scale", [1e12, 1e15, 1e-13, 1e300])
@@ -348,10 +389,50 @@ def test_nonfinite_coefficients_rejected():
             BoundaryConditions(1, 0, 0, 0, 1, 0, 0, 1, bad).validate()
 
 
-@pytest.mark.parametrize("case", ALL_CASES)
-def test_constructed_catalog_norms_exact(case):
-    gen = build_general_kernel(case_boundary_conditions(case))
-    assert_allclose(gen.norms(), ANALYTIC_NORMS[case], rtol=0, atol=1e-15)
+@pytest.mark.parametrize("slot", range(9))
+@pytest.mark.parametrize("flag", [True, False])
+def test_boolean_coefficients_rejected(slot, flag):
+    # as for endpoints, a bool is not taken for the number it subclasses;
+    # the message names the field
+    coef = list(astuple(case_boundary_conditions(CaseId.CASE1))[:9])
+    coef[slot] = flag
+    name = "abg"[slot % 3] + str(slot // 3 + 1)
+    with pytest.raises(ValueError, match="finite numbers: %s is %s"
+                       % (name, flag)):
+        build_general_kernel(BoundaryConditions(*coef))
+
+
+def test_kernel_takes_only_its_table():
+    upper = kernel_catalog(CaseId.CASE1).upper
+    with pytest.raises(TypeError):
+        GreenKernel(upper, m0=1.0 / 12.0)
+    with pytest.raises(TypeError):
+        GreenKernel(upper, -1, -1)
+    assert GreenKernel(upper=upper).norms() == ANALYTIC_NORMS[CaseId.CASE1]
+
+
+@pytest.mark.parametrize("bc, case", [
+    *((case_boundary_conditions(case), case) for case in ALL_CASES),
+    (BoundaryConditions(1e12, 0, 0, 0, 1, 0, 0, 1, 0), CaseId.CASE1),
+], ids=[str(case) for case in ALL_CASES] + ["CaseId.CASE1-scaled"])
+def test_constructed_catalog_norms_exact(bc, case):
+    # a constructed kernel whose table is a catalog one carries that case's
+    # closed forms exactly, where the scan read M0 one ulp high
+    gen = build_general_kernel(bc)
+    assert gen.norms() == ANALYTIC_NORMS[case]
+    assert (gen.sigma_g, gen.sigma_g1) == SIGNS[case]
+
+
+def test_other_tables_are_scanned():
+    # metadata is a function of the table: a table off the catalog by one
+    # bit is scanned, and so is every kernel built from other rows
+    kernels = [GreenKernel(np.nextafter(kernel_catalog(case).upper, 1.0))
+               for case in ALL_CASES]
+    kernels += _random_kernels((0, 0, 1), 10, seed=2602)
+    kernels.append(build_general_kernel(
+        BoundaryConditions(1, 0, 0, 0, 1, 0, 1, 0, 0)))
+    for k in kernels:
+        assert ((k.sigma_g, k.sigma_g1), k.norms()) == _signs_and_norms(k._rows)
 
 
 @pytest.mark.parametrize("coef, lo, hi, expected", [
@@ -519,17 +600,23 @@ def test_exact_signs_match_grid_probe():
 def test_signs_and_norms_match_reference_bit_for_bit():
     # 38 random kernels per endpoint pattern, 100 perturbed catalog rows and
     # the catalog rows themselves: the scan arrays built once and the
-    # arithmetic done in place give the reference's signs and norms exactly
+    # arithmetic done in place give the reference's signs and norms exactly;
+    # the kernels of the catalog rows carry the closed forms instead
     kernels = [k for i, ends in enumerate(ENDPOINTS)
                for k in _random_kernels(ends, 38, seed=500 + i)]
     kernels += _perturbed_kernels(100, seed=600)
-    kernels += [build_general_kernel(case_boundary_conditions(case))
-                for case in ALL_CASES]
+    catalog = [build_general_kernel(case_boundary_conditions(case))
+               for case in ALL_CASES]
     for k in kernels:
         rows = [k.tables(order) for order in range(3)]
         expected = _reference_signs_and_norms(rows)
         assert _signs_and_norms(rows) == expected
         assert ((k.sigma_g, k.sigma_g1), k.norms()) == expected
+    for case, k in zip(ALL_CASES, catalog):
+        rows = [k.tables(order) for order in range(3)]
+        assert _signs_and_norms(rows) == _reference_signs_and_norms(rows)
+        assert (k.sigma_g, k.sigma_g1) == SIGNS[case]
+        assert k.norms() == ANALYTIC_NORMS[case]
 
 
 @pytest.mark.parametrize("ends", ENDPOINTS)
