@@ -48,6 +48,8 @@ BC_FILES = {
     "scaled_singular.json": _bc(0, 1, 0, 0, 0, 1, 0, 1e15, 1e15),
     # a JSON true as a coefficient
     "flag.json": _bc(True, 0, 0, 0, 1, 0, 0, 1, 0),
+    # a JSON integer too large for a float
+    "huge.json": _bc(10 ** 400, 0, 0, 0, 1, 0, 0, 1, 0),
 }
 COMMANDS = (
     [["list"]]
@@ -84,6 +86,7 @@ COMMANDS = (
         ["solve", "--problem", "dqa1", "--M", "nan"],
         ["check", "--problem", "nope"],
         ["check", "--problem", "dqa1", "--samples", "10"],
+        ["check", "--problem", "dqa1", "--samples", "999"],
         ["kernel", "--case", "1", "--h", "0.3"],
         ["kernel", "--bc-file", "bc.json", "--h", "0.0"],
         ["kernel", "--bc-file", "dependent.json"],
@@ -91,11 +94,15 @@ COMMANDS = (
         ["kernel", "--bc-file", "near_dependent.json"],
         ["kernel", "--bc-file", "scaled_singular.json"],
         ["kernel", "--bc-file", "flag.json"],
+        ["kernel", "--bc-file", "huge.json"],
         ["convergence", "--problem", "dqa1", "--h0", "0.3"],
         ["convergence", "--problem", "dqa1", "--levels", "0"],
         ["convergence", "--problem", "nope"],
         # a report that cannot be written leaves no solution CSV behind
         ["solve", "--problem", "dqa1", "--json", "missing/r.json"],
+        # a table that cannot be written is not printed either
+        ["convergence", "--problem", "dqa1", "--levels", "1", "--csv",
+         "missing/x.csv"],
     ]
 )
 

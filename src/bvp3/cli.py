@@ -22,8 +22,8 @@ import numpy as np
 
 from .conditions import verdict
 from .corpus import UnknownProblem, get_problem, list_problems
-from .greens import (BoundaryConditions, CaseId, build_general_kernel,
-                     kernel_catalog)
+from .greens import (_COEFFICIENTS, BoundaryConditions, CaseId,
+                     build_general_kernel, kernel_catalog)
 from .picard import (Diverged, MaxIterExceeded, NonFiniteValue, kernel_for,
                      solve)
 from .quadrature import Grid, tabulate
@@ -156,18 +156,18 @@ def _bc_from_file(path):
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise click.ClickException("bc file must hold a JSON object")
-    keys = ("a1", "b1", "g1", "a2", "b2", "g2", "a3", "b3", "g3")
-    missing = [k for k in keys if k not in raw]
+    missing = [k for k in _COEFFICIENTS if k not in raw]
     if missing:
         raise click.ClickException("bc file lacks %s" % ", ".join(missing))
-    unknown = sorted(set(raw) - set(keys) - {"endpoints"})
+    unknown = sorted(set(raw) - set(_COEFFICIENTS) - {"endpoints"})
     if unknown:
         raise click.ClickException("bc file has unknown %s" % ", ".join(unknown))
     endpoints = raw.get("endpoints", (0, 0, 1))
     if isinstance(endpoints, list):
         endpoints = tuple(endpoints)
     # validate, in build_general_kernel, checks the values as read
-    return BoundaryConditions(*(raw[k] for k in keys), endpoints=endpoints)
+    return BoundaryConditions(*(raw[k] for k in _COEFFICIENTS),
+                              endpoints=endpoints)
 
 
 @main.command("kernel")
@@ -239,9 +239,10 @@ def cmd_convergence(name, h0, levels, tol, csv_path):
         lines.append("%s,%s,%s" % (
             _fmt(h_val), _fmt(dev), "" if order is None else _fmt(order)))
     text = "\n".join(lines) + "\n"
-    click.echo(text, nl=False)
+    # the file first, so a failed write leaves no table on stdout
     if csv_path:
         _write_text(csv_path, text)
+    click.echo(text, nl=False)
 
 
 @main.command("list")

@@ -6,14 +6,16 @@ constants, analytic or sampled, give q = ``GreenKernel.q``.  Sampling uses one
 unscrambled five-dimensional Halton point set, drawn in-house and cached per
 sample count, so every verdict is reproducible bit for bit and a verdict
 draws its points at most once: the sup estimates read the first four
-coordinates, the Lipschitz quotients all five.  A verdict evaluates f once
-per point of each box it samples (the full box, and the one-sided box when
-the kernel has constant signs), in fixed blocks of BLOCK = 8192 points whose
-buffers a sweep builds once.  The quotients of the three moved axes form one
-(3, BLOCK) stack, divided and maximised together, and the DIFF_FLOOR mask is
-applied only to a block that has a step under it.  The results are bit for
-bit those of one whole-array pass.  Sampled suprema are lower bounds of the
-true ones; the verdict records them as estimates, not certificates.
+coordinates, the Lipschitz quotients all five.  One sweep samples every box:
+it checks M and the sample count, scales the x, y and z rows of the box and
+reads t as its Halton row.  A verdict evaluates f once per point of each box
+it samples (the full box, and the one-sided box when the kernel has constant
+signs), in fixed blocks of BLOCK = 8192 points whose buffers a sweep builds
+once.  The quotients of the three moved axes form one (3, BLOCK) stack,
+divided and maximised together, and the DIFF_FLOOR mask is applied only to
+a block that has a step under it.  The results are bit for bit those of one
+whole-array pass.  Sampled suprema are lower bounds of the true ones; the
+verdict records them as estimates, not certificates.
 """
 
 from __future__ import annotations
@@ -75,24 +77,23 @@ class ConditionVerdict:
 
 
 def _box(M, kernel, positive):
+    """The x, y and z rows of the kernel's box at radius M, one-sided if
+    `positive`, as (3, 1) columns lo and span that scale rows of Halton
+    points; t needs no row, since [0, 1] is its Halton row as is."""
     # python floats, so an overflowing box reads inf without a numpy warning
     r0, r1, r2 = (float(m) * float(M) for m in kernel.norms())
+    lo, hi = [-r0, -r1, -r2], [r0, r1, r2]
     if positive:
         sign_product = kernel.sigma_g * kernel.sigma_g1
         if sign_product == 0:
             raise ValueError("one-sided domain needs a constant-sign kernel")
         # sigma(G) f >= 0 makes u nonnegative whatever the kernel sign,
         # so x is one-sided; the slope range follows sigma(G) sigma(G_t)
-        y_lo, y_hi = (0.0, r1) if sign_product > 0 else (-r1, 0.0)
-        lo = [0.0, 0.0, y_lo, -r2]
-        hi = [1.0, r0, y_hi, r2]
-    else:
-        lo = [0.0, -r0, -r1, -r2]
-        hi = [1.0, r0, r1, r2]
+        lo[0] = 0.0
+        lo[1], hi[1] = (0.0, r1) if sign_product > 0 else (-r1, 0.0)
     span = [h - l for l, h in zip(lo, hi)]
     if not all(map(math.isfinite, span)):
         raise ValueError("M is too large: the sampling box overflows")
-    # column vectors, to scale rows of Halton points
     return np.asarray(lo)[:, None], np.asarray(span)[:, None]
 
 
@@ -121,9 +122,11 @@ def _halton(samples):
 
 
 def _sweep(problem, M, kernel, positive, samples, lipschitz):
-    """One pass over the kernel's box, one-sided if `positive`: the sampled
-    sup of |f|, whether sigma(G) f >= -SIGN_SLACK held (None on the full box)
-    and, if `lipschitz`, the largest one-coordinate difference quotients
+    """One pass over the kernel's box, one-sided if `positive`, after the
+    one check of M (positive and finite) and of `samples` (at least
+    MIN_SAMPLES) that every public entry point shares: the sampled sup of
+    |f|, whether sigma(G) f >= -SIGN_SLACK held (None on the full box) and,
+    if `lipschitz`, the largest one-coordinate difference quotients
     against the same base values (else zeros).  f runs once per point, one
     block of BLOCK points at a time, into buffers built once per sweep; the
     three moved axes form one (3, BLOCK) stack of quotients, divided and
@@ -131,8 +134,11 @@ def _sweep(problem, M, kernel, positive, samples, lipschitz):
     under it.  Max is exact and f pointwise, so the results are bit for bit
     those of one whole-array pass.
     """
-    # t's row of the box starts at 0 with span 1, so t is its Halton row as is
-    lo, span = (a[1:] for a in _box(M, kernel, positive))
+    if not 0.0 < M < math.inf:
+        raise ValueError("M must be positive and finite")
+    if samples < MIN_SAMPLES:
+        raise ValueError("need at least %d samples" % MIN_SAMPLES)
+    lo, span = _box(M, kernel, positive)
     raw = _halton(samples)
     # buffers for one block, built once; a last, partial block slices them
     width = min(samples, BLOCK)
@@ -180,13 +186,6 @@ def _sweep(problem, M, kernel, positive, samples, lipschitz):
     return sup, sign_ok, tuple(map(float, ls))
 
 
-def _check_sampling(M, samples):
-    if not 0.0 < M < math.inf:
-        raise ValueError("M must be positive and finite")
-    if samples < MIN_SAMPLES:
-        raise ValueError("need at least %d samples" % MIN_SAMPLES)
-
-
 def estimate_sup_f(problem: ProblemSpec, M: float, kernel: GreenKernel,
                    domain: str = "full", samples: int = 4096):
     """Sampled sup of |f| over the requested domain of the kernel's box.
@@ -195,7 +194,6 @@ def estimate_sup_f(problem: ProblemSpec, M: float, kernel: GreenKernel,
     its one-sided part, oriented by the kernel signs (a ValueError if one is
     0), and also reports whether sigma(G) * f stayed >= 0 at every sample.
     """
-    _check_sampling(M, samples)
     if domain not in ("full", "positive"):
         raise ValueError("domain must be 'full' or 'positive'")
     sup, sign_ok, _ = _sweep(problem, M, kernel, domain == "positive",
@@ -215,7 +213,6 @@ def estimate_lipschitz(problem: ProblemSpec, M: float, kernel: GreenKernel,
     if problem.lipschitz is not None:
         l0, l1, l2 = problem.lipschitz
         return (float(l0), float(l1), float(l2)), "analytic"
-    _check_sampling(M, samples)
     positive = problem.positive and kernel.sigma_g * kernel.sigma_g1 != 0
     _, _, ls = _sweep(problem, M, kernel, positive, samples, True)
     return ls, "sampled"
@@ -228,7 +225,6 @@ def verdict(problem: ProblemSpec, kernel: GreenKernel, M: float,
     Sweeps the full box, then the one-sided box if the kernel has constant
     signs; sampled quotients ride on the box ``estimate_lipschitz`` uses.
     """
-    _check_sampling(M, samples)
     sign_product = kernel.sigma_g * kernel.sigma_g1
     sampled = problem.lipschitz is None
     one_sided = problem.positive and sign_product != 0

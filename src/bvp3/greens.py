@@ -36,8 +36,8 @@ branch wins, which matters for G_tt, as it jumps by one across s = t.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
@@ -128,7 +128,7 @@ class BoundaryConditions:
 
     def validate(self):
         """Input checks only, field by field: endpoints a triple of 0s and 1s,
-        finite real coefficients, and no booleans in either."""
+        real coefficients finite as floats, and no booleans in either."""
         ends = self.endpoints
         if not (isinstance(ends, tuple) and len(ends) == 3
                 and all(isinstance(e, numbers.Integral)
@@ -137,8 +137,10 @@ class BoundaryConditions:
             raise ValueError("endpoints must be a triple of 0s and 1s")
         for name in _COEFFICIENTS:
             c = getattr(self, name)
+            # an exact comparison, so nan, inf and an integer or fraction
+            # too large for a float all fail, none of them by OverflowError
             if (isinstance(c, bool) or not isinstance(c, numbers.Real)
-                    or not math.isfinite(c)):
+                    or not abs(c) <= sys.float_info.max):
                 raise ValueError("boundary coefficients must be finite "
                                  "numbers: %s is %r" % (name, c))
 

@@ -233,6 +233,8 @@ def test_kernel_bc_file_routes(runner, tmp_path):
             "flag.json": (dict(good, a1=True), "a1"),
             "nan.json": (dict(good, g3=float("nan")), "finite"),
             "inf.json": (dict(good, g3=float("inf")), "finite"),
+            # an integer too large for a float
+            "huge.json": (dict(good, a1=10 ** 400), "finite numbers: a1"),
             "list.json": ([1, 0, 0], "object"),
             # a misspelt "endpoints" would fall back to the default frame
             "typo.json": (dict(good, endpoint=[0, 1, 1]), "unknown endpoint"),
@@ -318,7 +320,8 @@ def test_convergence_non_finite_f_ends_with_clean_error(runner, monkeypatch):
     ["check", "--problem", "dqa1", "--json", "{missing}"],
     ["kernel", "--case", "1", "--h", "0.1", "--csv", "{missing}"],
     ["solve", "--problem", "dqa1", "--json", "{missing}"],
-], ids=["solve", "check", "kernel", "solve-json"])
+    ["convergence", "--problem", "dqa1", "--levels", "1", "--csv", "{missing}"],
+], ids=["solve", "check", "kernel", "solve-json", "convergence"])
 def test_output_in_missing_directory_ends_with_clean_error(runner, tmp_path,
                                                            args):
     missing = str(tmp_path / "missing" / "x")
@@ -329,8 +332,9 @@ def test_output_in_missing_directory_ends_with_clean_error(runner, tmp_path,
     last = res.output.splitlines()[-1]
     assert res.exit_code == 1
     assert last.startswith("Error: [Errno 2]") and missing in last
-    # no verdict reaches stdout when its file cannot be written
+    # no verdict or table reaches stdout when its file cannot be written
     assert '"theorem1_holds"' not in res.output
+    assert "h,max_dev_exact" not in res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
 
 

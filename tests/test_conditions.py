@@ -154,6 +154,33 @@ def test_lipschitz_sampled_validates_radius(bad):
     assert source == "analytic"
 
 
+@pytest.mark.parametrize("M, samples, message", [
+    *((bad, 4096, "M must be positive and finite")
+      for bad in (-1.0, 0.0, math.nan, math.inf)),
+    (None, 999, "need at least 1000 samples"),
+], ids=["M=-1", "M=0", "M=nan", "M=inf", "samples=999"])
+@pytest.mark.parametrize("sampled", [False, True], ids=["analytic", "sampled"])
+def test_verdict_checks_radius_and_samples_before_f(sampled, M, samples,
+                                                    message):
+    # every public entry point raises the one message of the sweep's check,
+    # before f sees a point
+    entry = get_problem("dqa1")
+    kernel = kernel_for(entry.problem)
+    M = entry.reference.M if M is None else M
+    problem = replace(entry.problem, lipschitz=None) if sampled else entry.problem
+    counted, points = _counting(problem)
+    calls = [lambda: verdict(counted, kernel, M, samples=samples),
+             lambda: estimate_sup_f(counted, M, kernel, samples=samples)]
+    if sampled:
+        calls.append(lambda: estimate_lipschitz(counted, M, kernel, samples))
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
+    assert points == []
+
+
 @pytest.mark.parametrize("name", ["dqa1", "dqa", "bai-3.5"])
 def test_lipschitz_sampled_below_analytic(name):
     entry = get_problem(name)
@@ -220,6 +247,27 @@ def test_one_sided_domain_needs_signs():
     entry = get_problem("yao-feng-7")
     with pytest.raises(ValueError):
         estimate_sup_f(entry.problem, 1.0, SIGN_CHANGING, "positive")
+
+
+# u(1) = u'(0) = u''(0) = 0: sigma(G) = -1 and sigma(G_t) = +1
+DECREASING = build_general_kernel(
+    BoundaryConditions(1, 0, 0, 0, 1, 0, 0, 0, 1, (1, 0, 0)))
+
+
+@pytest.mark.parametrize("kernel, y_lo", [(CASE1, 0.0), (DECREASING, -1.0)],
+                         ids=["increasing", "decreasing"])
+def test_box_holds_x_y_and_z(kernel, y_lo):
+    # the full box is centred; the one-sided box has x >= 0 and the slope
+    # range of sigma(G) sigma(G_t); t, in [0, 1], has no row
+    assert kernel.sigma_g * kernel.sigma_g1 == (1 if y_lo == 0.0 else -1)
+    r0, r1, r2 = (m * 2.0 for m in kernel.norms())
+    lo, span = conditions._box(2.0, kernel, False)
+    assert lo.shape == span.shape == (3, 1)
+    assert lo.ravel().tolist() == [-r0, -r1, -r2]
+    assert span.ravel().tolist() == [2 * r0, 2 * r1, 2 * r2]
+    lo, span = conditions._box(2.0, kernel, True)
+    assert lo.ravel().tolist() == [0.0, y_lo * r1, -r2]
+    assert span.ravel().tolist() == [r0, r1, 2 * r2]
 
 
 def test_sup_estimate_reads_sigma_g_off_the_kernel():
@@ -293,9 +341,10 @@ def test_verdict_then_solve_converges():
 def _reference_sup_f(problem, M, kernel, domain, samples):
     positive = domain == "positive"
     lo, span = conditions._box(M, kernel, positive)
-    pts4 = conditions._halton(samples)[:4] * span
-    pts4 += lo
-    vals = _eval_f(problem.f, *pts4)
+    raw = conditions._halton(samples)
+    xyz = raw[1:4] * span
+    xyz += lo
+    vals = _eval_f(problem.f, raw[0], *xyz)
     sup = float(np.max(np.abs(vals)))
     sign_ok = None
     if positive:
@@ -307,17 +356,17 @@ def _reference_lipschitz(problem, M, kernel, samples):
     positive = problem.positive and kernel.sigma_g * kernel.sigma_g1 != 0
     lo, span = conditions._box(M, kernel, positive)
     raw = conditions._halton(samples)
-    base = raw[:4] * span
+    base = raw[1:4] * span
     base += lo
-    at_base = _eval_f(problem.f, *base)
+    at_base = _eval_f(problem.f, raw[0], *base)
     out = []
-    for axis in (1, 2, 3):
+    for axis in range(3):
         alt = lo[axis] + raw[4] * span[axis]
         delta = np.abs(alt - base[axis])
         mask = delta > conditions.DIFF_FLOOR
         if np.any(mask):
-            moved = list(base)
-            moved[axis] = alt
+            moved = [raw[0], *base]
+            moved[axis + 1] = alt
             quot = np.abs(_eval_f(problem.f, *moved) - at_base)
             out.append(float(np.max(quot[mask] / delta[mask])))
         else:
@@ -373,7 +422,7 @@ def _masked_steps(M, kernel, samples):
     DIFF_FLOOR; and per block, whether any axis has one."""
     lo, span = conditions._box(M, kernel, True)
     raw = conditions._halton(samples)
-    base, alt = raw[1:4] * span[1:] + lo[1:], raw[4] * span[1:] + lo[1:]
+    base, alt = raw[1:4] * span + lo, raw[4] * span + lo
     masked = np.abs(alt - base) <= conditions.DIFF_FLOOR
     blocks = [masked[:, i:i + conditions.BLOCK].any()
               for i in range(0, samples, conditions.BLOCK)]

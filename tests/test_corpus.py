@@ -171,7 +171,8 @@ def test_yao_feng_8_product_matches_power(positive, scale):
     e = get_problem("yao-feng-8")
     lo, span = conditions._box(scale * e.reference.M,
                                kernel_for(e.problem), positive)
-    t, x, y, z = lo + conditions._halton(65536)[:4] * span
+    raw = conditions._halton(65536)
+    t, (x, y, z) = raw[0], lo + raw[1:4] * span
     new, old = e.problem.f(t, x, y, z), _yao_feng_8_pow(t, x, y, z)
     assert np.max(np.abs(new - old) / np.abs(old)) <= PIN_RTOL
 

@@ -3,6 +3,7 @@
 import itertools
 import tracemalloc
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -384,7 +385,10 @@ def test_bad_endpoints_rejected():
 
 
 def test_nonfinite_coefficients_rejected():
-    for bad in (np.nan, np.inf, None, "1"):
+    # 10**400, as an int or a fraction, is too large for a float:
+    # math.isfinite raises OverflowError on it
+    for bad in (np.nan, np.inf, None, "1", 10 ** 400, -10 ** 400,
+                Fraction(10 ** 400)):
         with pytest.raises(ValueError, match="finite numbers"):
             BoundaryConditions(1, 0, 0, 0, 1, 0, 0, 1, bad).validate()
 
