@@ -68,6 +68,12 @@ COMMANDS = (
         ["solve", "--problem", "dqa", "--M", "3.0"],
         ["kernel", "--bc-file", "bc.json", "--csv", "custom.csv"],
         ["kernel", "--bc-file", "scaled.json", "--h", "0.05"],
+        # the CSV writer on 51,005 values each, exact zeros and values below
+        # 1e-4 among them, and on n = 2000 solutions
+        ["kernel", "--case", "1", "--h", "0.01"],
+        ["kernel", "--bc-file", "bc.json", "--h", "0.01"],
+        ["solve", "--problem", "bai-3.5", "--h", "0.0005"],
+        ["solve", "--problem", "yao-feng-7", "--h", "0.0005"],
         ["convergence", "--problem", "dqa1"],
         ["convergence", "--problem", "dqa", "--levels", "2", "--csv", "c.csv"],
         # sampled quotients with steps under the difference floor, and a

@@ -31,6 +31,14 @@ from .quadrature import Grid, tabulate
 __all__ = ["main", "NoExactSolution", "convergence_study"]
 
 FLOAT_FMT = "%.17g"
+# the CSV writer's values per block, whose tables stay in a core's L2 cache;
+# the doubles nearest 10^k, k = -4 .. 20, none below 10^k; each 4-digit
+# string as one uint32; the row numbers of the writer's character table
+CSV_BLOCK = 2048
+_TENS = np.array([float("1e%d" % k) for k in range(-4, 21)])
+_DIGITS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4,
+                               indexing="ij"), -1).view(np.uint32).ravel()
+_ROWS = np.arange(25, dtype=np.uint8)[:, None]
 # JSON names of the kernel norms, and record fields kept in memory only
 _JSON_NAMES = {"m0": "M0", "m1": "M1", "m2": "M2"}
 _IN_MEMORY = ("diffs", "history")
@@ -72,18 +80,78 @@ def _resolved_problem(name, m_override):
     return entry, problem
 
 
-def _write_text(path, text):
+def _write_text(path, pieces):
+    """Write the text pieces to path, one after another."""
     with _failing(), open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
 
 
 def _csv_text(header, columns):
-    """CSV text: the header, then one line per index of the equal-length
-    columns, written with one format that puts FLOAT_FMT in every field."""
-    row = ",".join([FLOAT_FMT] * len(columns))
-    lines = [header]
-    lines.extend(row % tuple(r) for r in np.column_stack(columns).tolist())
-    return "\n".join(lines) + "\n"
+    """CSV text in pieces: the header line, then the rows of the columns in
+    blocks of at most CSV_BLOCK values, each field the bytes of FLOAT_FMT % v.
+
+    For +-0 and 1e-4 <= |v| < 1e17, %.17g is fixed notation, less trailing
+    zeros, of the integer n nearest |v| 10^p, p = 16 - X for X the decimal
+    exponent, and 10^p is an exact double.  So Dekker's product gives |v| 10^p
+    as hi + lo exactly, and n is hi, an even integer above 2^53, plus lo
+    rounded half to even, ties included; FLOAT_FMT prints the other values.
+    """
+    m, total = len(columns), len(columns[0])
+    rows = max(1, min(CSV_BLOCK // m, total))
+    xbuf, tables = np.empty((rows, m)), np.full((48, rows * m), 48, np.uint8)
+    yield header + "\n"
+    for i in range(0, total, rows):
+        x = np.stack([c[i:i + rows] for c in columns], axis=1,
+                     out=xbuf[:min(rows, total - i)]).ravel()
+        yield _csv_block(x, m, tables[:, :x.size])
+
+
+def _csv_block(x, m, tables):
+    """The CSV text of x, whole rows of m values, built in tables: digit rows
+    zx and character rows chars, whose rows start to end of column j are
+    field j."""
+    zx, chars = tables[:23], tables[23:]
+    size, a, index = x.size, np.abs(x), np.arange(x.size)
+    fixed, zero = (a >= 1e-4) & (a < 1e17), a == 0
+    w = np.where(fixed, a, 1.0)
+    k = np.clip(np.floor(np.log10(w)), -4, 16).astype(np.intp) + 4
+    k += w >= _TENS[k + 1]  # k = X + 4 exactly: _TENS[k] <= w < _TENS[k + 1]
+    k -= w < _TENS[k]
+    b = _TENS[24 - k]
+    hi, c, d = w * b, w * 134217729.0, b * 134217729.0  # Dekker's splits
+    wh, bh = c - (c - w), d - (d - b)
+    lo = wh * bh - hi + wh * (b - bh) + (w - wh) * bh + (w - wh) * (b - bh)
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = n == 10 ** 17  # n rounded up to 10^(X + 1)
+    k += carry
+    n[carry] = 10 ** 16
+    n[zero] = 0
+    # zx[1:22] is "0000" then the 17 digits of n, from five 4-digit groups
+    g = np.stack([n // 10 ** e for e in (16, 12, 8, 4, 0)])
+    g[1:] -= g[:-1] * 10 ** 4
+    zx[2:22] = _DIGITS[g].view(np.uint8).reshape(5, size, 4).transpose(
+        0, 2, 1).reshape(20, size)
+    frac = np.maximum((_ROWS[1:17] * (zx[6:22] != 48)).max(0) + 4 - k, 0)
+    # the point after zx row k + 1, the sign before the lead "0" or digit
+    before = -(_ROWS[:22] <= k.astype(np.uint8)).view(np.uint8)
+    chars[1:23] = zx[:-1] ^ ((zx[:-1] ^ zx[1:]) & before)
+    lead = np.minimum(k, 4)
+    chars[k + 2, index] = 46
+    chars[lead, index] = 45
+    start = lead + 1 - np.signbit(x)
+    end = k + 2 + (frac > 0) + frac
+    other = ~(fixed | zero)
+    if other.any():
+        vals = x[other].tolist()
+        printed = np.array(("\n".join([FLOAT_FMT] * len(vals)) % tuple(vals))
+                           .encode().split(b"\n"), "S24")
+        chars[:24, other] = printed.view(np.uint8).reshape(-1, 24).T
+        start[other] = 0
+        end[other] = np.char.str_len(printed)
+    chars[end, index] = 44
+    chars[end[m - 1::m], index[m - 1::m]] = 10
+    keep = (_ROWS >= start.astype(np.uint8)) & (_ROWS <= end.astype(np.uint8))
+    return str(chars.T[keep.T], "ascii")
 
 
 def _record_json(record, **lead):
@@ -123,7 +191,7 @@ def cmd_solve(name, h, tol, max_iter, m_override, csv_path, json_path):
         grid.nodes, state.u, state.y, state.z, state.phi)))
     try:
         _write_text(json_path,
-                    _record_json(report, problem=name, h=h, tol=tol) + "\n")
+                    (_record_json(report, problem=name, h=h, tol=tol), "\n"))
     except click.ClickException:
         # a failed run leaves neither of its files behind
         os.remove(csv_path)
@@ -147,7 +215,7 @@ def cmd_check(name, m_value, samples, json_path):
         v = verdict(problem, kernel_for(problem), problem.M, samples=samples)
     text = _record_json(v, problem=name)
     if json_path:
-        _write_text(json_path, text + "\n")
+        _write_text(json_path, (text, "\n"))
     click.echo(text)
 
 
@@ -241,7 +309,7 @@ def cmd_convergence(name, h0, levels, tol, csv_path):
     text = "\n".join(lines) + "\n"
     # the file first, so a failed write leaves no table on stdout
     if csv_path:
-        _write_text(csv_path, text)
+        _write_text(csv_path, (text,))
     click.echo(text, nl=False)
 
 

@@ -141,8 +141,15 @@ class BoundaryConditions:
             # too large for a float all fail, none of them by OverflowError
             if (isinstance(c, bool) or not isinstance(c, numbers.Real)
                     or not abs(c) <= sys.float_info.max):
+                # an exact number too large for a float by its kind, not its
+                # digits; any other value by its repr, cut to 40 characters
+                shown = ("too large for a float (%s)" % type(c).__name__
+                         if isinstance(c, numbers.Rational)
+                         and not isinstance(c, bool) else repr(c))
+                if len(shown) > 40:
+                    shown = shown[:37] + "..."
                 raise ValueError("boundary coefficients must be finite "
-                                 "numbers: %s is %r" % (name, c))
+                                 "numbers: %s is %s" % (name, shown))
 
 
 # case -> (boundary rows a1..g3 and endpoints, (M0, M1, M2),

@@ -1,15 +1,20 @@
 """Command line behavior: outputs, determinism, exit codes."""
 
+import collections
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bvp3.cli import NoExactSolution, convergence_study, main
+from bvp3.cli import (FLOAT_FMT, NoExactSolution, _csv_text,
+                      convergence_study, main)
 from bvp3 import (Diverged, Grid, MaxIterExceeded, NonFiniteValue,
                   get_problem, kernel_for, list_problems, solve, verdict)
+from bvp3.greens import CaseId, kernel_catalog
+from bvp3.quadrature import tabulate
 
 REPORT_FIELDS = ["problem", "h", "tol", "iterations", "final_diff", "q", "p_k",
                  "M0", "M1", "M2", "bound_checks", "residual", "max_dev_exact",
@@ -79,6 +84,92 @@ def test_solve_csv_matches_per_value_format(runner, tmp_path):
                                    "--csv", "s.csv", "--json", "s.json"])
         assert res.exit_code == 0, res.output
         assert Path("s.csv").read_bytes() == expected
+
+
+def assert_writer_bytes(*columns):
+    """The CSV writer's text of the columns is, field by field, the bytes of
+    FLOAT_FMT % v; a mismatch names its first three lines."""
+    got = "".join(_csv_text("h", columns)).split("\n")
+    row = ",".join([FLOAT_FMT] * len(columns))
+    want = (["h"] + [row % tuple(r) for r in np.column_stack(columns).tolist()]
+            + [""])
+    assert len(got) == len(want)
+    assert got == want, [(g, w) for g, w in zip(got, want) if g != w][:3]
+
+
+def kernel_columns(case, h):
+    """The columns of the bvp3 kernel dump of a catalog case."""
+    tt = Grid.from_h(h).nodes
+    below = np.tri(tt.size, dtype=bool)
+    kernel = kernel_catalog(CaseId(case))
+    return (np.repeat(tt, tt.size), np.tile(tt, tt.size),
+            *(np.where(below, tabulate(low, tt), tabulate(up, tt)).ravel()
+              for low, up in map(kernel.tables, range(3))))
+
+
+def test_csv_writer_random_bit_patterns():
+    # 10^6 patterns, negatives, subnormals, nan and inf included; nine in ten
+    # have an exponent in [2^-14, 2^57), around the fixed-notation range
+    # [1e-4, 1e17), so the fast path sees most of them
+    rng = np.random.default_rng(2028)
+    bits = rng.integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
+    window = rng.random(bits.size) < 0.9
+    exponent = rng.integers(1023 - 14, 1023 + 57, bits.size, dtype=np.uint64)
+    bits[window] = ((bits[window] & np.uint64(0x800FFFFFFFFFFFFF))
+                    | exponent[window] << np.uint64(52))
+    assert_writer_bytes(*bits.view(np.float64).reshape(5, -1))
+
+
+def test_csv_writer_exact_ties():
+    # odd j / 2^18 has 18 significant digits, the last a 5: each value is a
+    # tie at 17 digits, rounded half to even
+    j = np.arange(1, 2 ** 18, 2)
+    ties = j[j >= 2 ** 18 / 10] / 2.0 ** 18
+    assert ties.size == 117965
+    assert_writer_bytes(ties)
+
+
+def test_csv_writer_edges():
+    powers = np.array([float("1e%d" % k) for k in range(-30, 31)])
+    edges = np.array([1e-4, 1e16, 1e17])
+    values = np.concatenate([
+        powers, np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf),
+        [0.0, np.nan, np.inf, 5e-324, 2.2250738585072009e-308,
+         1.7976931348623157e308, 0.1, 1.0 - 2.0 ** -53, 99999999999999999.0,
+         9.9999999999999995e-5]])
+    assert_writer_bytes(np.concatenate([values, -values]))
+    # the same values in rows of three, every field of a row another case
+    assert_writer_bytes(values, np.roll(values, 1), -np.roll(values, 2))
+
+
+@pytest.mark.parametrize("name", [p for p, _, _ in list_problems()])
+def test_csv_writer_corpus_solutions(name):
+    grid = Grid.from_h(0.001)
+    state, _ = solve(get_problem(name).problem, grid)
+    assert_writer_bytes(grid.nodes, state.u, state.y, state.z, state.phi)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4])
+def test_csv_writer_kernel_dumps(case):
+    assert_writer_bytes(*kernel_columns(case, 0.05))
+
+
+def test_csv_writer_memory_is_bounded():
+    # the writer works in blocks, so its peak does not grow with the table:
+    # the n = 100 kernel dump (51,005 values) against the n = 1000 solve
+    # table (5,005 values), every piece written out and dropped
+    grid = Grid.from_h(0.001)
+    state, _ = solve(get_problem("dqa").problem, grid)
+    tables = [(grid.nodes, state.u, state.y, state.z, state.phi),
+              kernel_columns(1, 0.01)]
+    peaks = []
+    for columns in tables:
+        tracemalloc.start()
+        collections.deque(_csv_text("h", columns), maxlen=0)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert sum(map(len, tables[1])) == 51005
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_solve_unknown_problem_exit_code(runner):

@@ -388,9 +388,18 @@ def test_nonfinite_coefficients_rejected():
     # 10**400, as an int or a fraction, is too large for a float:
     # math.isfinite raises OverflowError on it
     for bad in (np.nan, np.inf, None, "1", 10 ** 400, -10 ** 400,
-                Fraction(10 ** 400)):
-        with pytest.raises(ValueError, match="finite numbers"):
+                Fraction(10 ** 400), 10 ** 5000, "1" * 1000, ["x" * 99] * 6):
+        with pytest.raises(ValueError, match="finite numbers: g3 is") as err:
             BoundaryConditions(1, 0, 0, 0, 1, 0, 0, 1, bad).validate()
+        # the value as given, or its kind: never all of its digits
+        assert len(str(err.value)) < 120
+    # short values are shown as they are
+    for bad, shown in ((True, "True"), (np.nan, "nan"), (np.inf, "inf"),
+                       (None, "None"), ("1", "'1'")):
+        with pytest.raises(ValueError) as err:
+            BoundaryConditions(1, 0, 0, 0, 1, 0, 0, 1, bad).validate()
+        assert str(err.value) == ("boundary coefficients must be finite "
+                                  "numbers: g3 is %s" % shown)
 
 
 @pytest.mark.parametrize("slot", range(9))
