@@ -72,6 +72,8 @@ COMMANDS = (
         # 1e-4 among them, and on n = 2000 solutions
         ["kernel", "--case", "1", "--h", "0.01"],
         ["kernel", "--bc-file", "bc.json", "--h", "0.01"],
+        # a dump tabulated in several blocks of node rows
+        ["kernel", "--bc-file", "bc.json", "--h", "0.005"],
         ["solve", "--problem", "bai-3.5", "--h", "0.0005"],
         ["solve", "--problem", "yao-feng-7", "--h", "0.0005"],
         ["convergence", "--problem", "dqa1"],

@@ -26,7 +26,7 @@ from .greens import (_COEFFICIENTS, BoundaryConditions, CaseId,
                      build_general_kernel, kernel_catalog)
 from .picard import (Diverged, MaxIterExceeded, NonFiniteValue, kernel_for,
                      solve)
-from .quadrature import Grid, tabulate
+from .quadrature import Grid
 
 __all__ = ["main", "NoExactSolution", "convergence_study"]
 
@@ -39,6 +39,8 @@ _TENS = np.array([float("1e%d" % k) for k in range(-4, 21)])
 _DIGITS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4,
                                indexing="ij"), -1).view(np.uint32).ravel()
 _ROWS = np.arange(25, dtype=np.uint8)[:, None]
+# node rows in a block of the kernel dump (see _kernel_text)
+KERNEL_ROWS = 24
 # JSON names of the kernel norms, and record fields kept in memory only
 _JSON_NAMES = {"m0": "M0", "m1": "M1", "m2": "M2"}
 _IN_MEMORY = ("diffs", "history")
@@ -87,8 +89,14 @@ def _write_text(path, pieces):
 
 
 def _csv_text(header, columns):
-    """CSV text in pieces: the header line, then the rows of the columns in
-    blocks of at most CSV_BLOCK values, each field the bytes of FLOAT_FMT % v.
+    """CSV text in pieces: the header line, then ``_csv_rows(columns)``."""
+    yield header + "\n"
+    yield from _csv_rows(columns)
+
+
+def _csv_rows(columns):
+    """The rows of the columns as CSV text, in blocks of at most CSV_BLOCK
+    values, each field the bytes of FLOAT_FMT % v.
 
     For +-0 and 1e-4 <= |v| < 1e17, %.17g is fixed notation, less trailing
     zeros, of the integer n nearest |v| 10^p, p = 16 - X for X the decimal
@@ -99,7 +107,6 @@ def _csv_text(header, columns):
     m, total = len(columns), len(columns[0])
     rows = max(1, min(CSV_BLOCK // m, total))
     xbuf, tables = np.empty((rows, m)), np.full((48, rows * m), 48, np.uint8)
-    yield header + "\n"
     for i in range(0, total, rows):
         x = np.stack([c[i:i + rows] for c in columns], axis=1,
                      out=xbuf[:min(rows, total - i)]).ravel()
@@ -257,14 +264,35 @@ def cmd_kernel(case_num, bc_file, h, csv_path):
         else:
             kernel = build_general_kernel(_bc_from_file(bc_file))
             csv_path = csv_path or "kernel_custom.csv"
-    tt = grid.nodes
-    below = np.tri(tt.size, dtype=bool)
-    # G, G_t and G_tt at every node pair (t_i, s_j), lower branch on s <= t
-    rows = [np.where(below, tabulate(low, tt), tabulate(up, tt)).ravel()
-            for low, up in map(kernel.tables, range(3))]
-    _write_text(csv_path, _csv_text("t,s,G,G1,G2", (
-        np.repeat(tt, tt.size), np.tile(tt, tt.size), *rows)))
+    _write_text(csv_path, _kernel_text(kernel, grid.nodes))
     click.echo("wrote %s" % csv_path)
+
+
+def _kernel_text(kernel, nodes):
+    """The kernel dump in pieces: t, s, G, G_t and G_tt at every node pair
+    (t_i, s_j), lower branch on s <= t, tabulated KERNEL_ROWS values of i at
+    a time, so its memory does not grow as the square of the nodes.
+
+    ``quadrature.tabulate`` is (V @ C) @ V.T; here V @ C is built once and
+    each block is its rows times V.T.  BLAS kernels work on fixed groups of
+    rows, so a block's bits match the whole product's only where the groups
+    line up: with OpenBLAS 0.3.31 (x86-64, AVX-512, one thread), blocks that
+    start at multiples of 24 rows matched for every n up to 1000, while
+    blocks at other offsets, and single rows, which go through a
+    matrix-vector product, did not.  So the last block takes the rest,
+    never one row alone.
+    """
+    size = nodes.size
+    v = np.stack([np.ones_like(nodes), nodes, nodes * nodes], axis=1)
+    left = [[v @ table for table in kernel.tables(k)] for k in range(3)]
+    starts = [*range(0, max(size - 1, 1), KERNEL_ROWS), size]
+    yield "t,s,G,G1,G2\n"
+    for a, b in zip(starts, starts[1:]):
+        below = np.arange(size) <= np.arange(a, b)[:, None]
+        yield from _csv_rows((
+            np.repeat(nodes[a:b], size), np.tile(nodes, b - a),
+            *(np.where(below, low[a:b] @ v.T, up[a:b] @ v.T).ravel()
+              for low, up in left)))
 
 
 def convergence_study(entry, h0, levels, tol=1e-6):

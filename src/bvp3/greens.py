@@ -18,16 +18,23 @@ so a kernel can be shared: each catalog kernel is built once, on first use.
 ``evaluate`` is the one pointwise evaluator; grid code lives in ``quadrature``.
 
 Signs and norms are a function of the table: a catalog table, bit for bit,
-carries its closed forms, and any other is read in one pass over its row
-tables.  At fixed t each side of a row is a quadratic in s, which its real
-roots split into pieces of constant sign, each integral an antiderivative
-difference.  The pieces' absolute values add up to the exact integral of
-|row| at that t, and their signs give the row's sign, so both are exact in
-s.  In t they rest on a scan: the signs on the coarse scan, and the max over
-t on that scan refined around its best point, an estimate and not a
-certified bound.  The scan's fixed arrays are built once, at import, and the
-pieces are written in place by the operations of the plain formula in the
-same order, so signs and norms are those of that formula bit for bit.
+carries its closed forms, and any other is read off its row tables.  At
+fixed t each side of a row is a quadratic in s, which its real roots split
+into pieces of constant sign, each integral an antiderivative difference.
+The pieces' absolute values add up to N_k(t), the exact integral of |row k|
+at that t, and their signs give the row's sign, so both are exact in s.
+G and G_t are continuous across s = t, so the t-derivative of N_0 and N_1
+is exact too: the signs of row k's pieces applied to the integrals of row
+k + 1 between the same breakpoints.  The norms are built with the kernel:
+M2 in closed form, as N_2' = |U + 1| - |U| for U the t-free upper G_tt row;
+M0 and M1 from N_k and N_k' on a bracket scan of every 4th point of the
+t-scan, a Hermite step into each cell where N_k' falls from positive to
+negative (an end cell going by its inner end), and a secant step on N_k'
+after it.  Every candidate is a value of N_k, so each norm is an estimate
+of the max and not a certified bound.  The signs are read from the pieces
+of G and G_t on the t-scan, on their first read: a kernel that is only
+solved with never scans for them.  The scans' fixed arrays are built once,
+at import.
 
 Branch convention: the "lower" table applies on s <= t, the "upper" one on
 t <= s.  Both are polynomials on the whole square; at the diagonal the lower
@@ -36,11 +43,12 @@ branch wins, which matters for G_tt, as it jumps by one across s = t.
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -58,10 +66,13 @@ __all__ = [
 
 SIGN_TOL = 1e-12
 CONDITION_LIMIT = 1e12
-NORM_SCAN_N = 512  # intervals of the coarse t-scan for the signs and norms
-NORM_ZOOM_N = 64  # intervals of each zoom window, two previous steps wide
-NORM_ZOOMS = 3
+NORM_SCAN_N = 512  # intervals of the t-scan for the signs; every 4th point
+# of it brackets the norms
 
+# the exponents of [1, t, t^2]; True on the upper side of each of three
+# rows, the side that starts at t (the lower one ends there)
+_POWERS = np.array([[0.0], [1.0], [2.0]])
+_UPPER_SIDE = np.array([[[False], [True]]] * 3)
 # t-derivative of a table: row a of the result is (a + 1) times row a + 1
 _DT = np.diag([1.0, 2.0], k=1)
 # its powers 0, 1, 2 take a table to the tables of G, G_t and G_tt
@@ -206,30 +217,49 @@ class GreenKernel:
 
     upper, the one argument, is the 3x3 table of G on t <= s, entry [a, b]
     multiplying t^a s^b, kept read-only; ``tables`` derives the one on
-    s <= t.  sigma_g and sigma_g1 are -1, 0 or +1; zero means the row has no
-    constant sign on the square.  m0, m1, m2 are the max-over-t integrals of
-    |G|, |G_t|, |G_tt|: a catalog table's closed forms, else read off the
-    row tables by ``_signs_and_norms``, exact in s and scanned in t.
+    s <= t.  m0, m1, m2 are the max-over-t integrals of |G|, |G_t|, |G_tt|,
+    and sigma_g, sigma_g1 are -1, 0 or +1, zero meaning the row has no
+    constant sign on the square.  A catalog table carries its closed forms;
+    any other gets ``_norms`` at construction and ``_signs`` on the first
+    read of a sign, so a kernel that is only solved with never scans for
+    signs.
     """
 
     upper: np.ndarray
-    sigma_g: int = field(init=False)
-    sigma_g1: int = field(init=False)
     m0: float = field(init=False)
     m1: float = field(init=False)
     m2: float = field(init=False)
 
     def __post_init__(self):
         upper = _read_only(self.upper)
+        if upper.shape != (3, 3):
+            raise ValueError("kernel table must be 3x3: its shape is %s"
+                             % (upper.shape,))
+        if not np.isfinite(upper).all():
+            raise ValueError("kernel table must be finite: it holds %r"
+                             % float(upper[~np.isfinite(upper)][0]))
         rows = _row_tables(upper)
-        signs, norms = (_CLOSED_FORMS.get(upper.tobytes())
-                        or _signs_and_norms(rows))
+        closed = _CLOSED_FORMS.get(upper.tobytes())
+        if closed:  # the closed-form signs, where _sign_pair caches its own
+            self.__dict__["_sign_pair"] = closed[0]
+        norms = closed[1] if closed else _norms(rows)
         # (9, 6) for quadrature.apply_rows: row 3 k + a is row a of pair k
         stack = _read_only(rows.transpose(0, 2, 1, 3).reshape(9, 6))
-        names = ("upper", "_rows", "_row_stack", "sigma_g", "sigma_g1",
-                 "m0", "m1", "m2")
-        for name, value in zip(names, (upper, rows, stack, *signs, *norms)):
+        names = ("upper", "_rows", "_row_stack", "m0", "m1", "m2")
+        for name, value in zip(names, (upper, rows, stack, *norms)):
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def _sign_pair(self):
+        return _signs(self._rows)
+
+    @property
+    def sigma_g(self):
+        return self._sign_pair[0]
+
+    @property
+    def sigma_g1(self):
+        return self._sign_pair[1]
 
     def tables(self, order=0):
         """(lower, upper) tables of the order-th t-derivative, order 0, 1 or 2,
@@ -326,84 +356,188 @@ def build_general_kernel(bc: BoundaryConditions) -> GreenKernel:
     return GreenKernel(_upper_table(bc))
 
 
-def _pieces(coef, lo, hi):
-    """Signed integrals of c0 + c1 s + c2 s^2 over [lo, hi] between its real
-    roots, elementwise: coef stacks (c0, c1, c2), each shaped like lo and
-    hi, on its first axis, and the three pieces stack on the result's.
+def _breaks(coef, lo, hi):
+    """Breakpoints (lo, r1, r2, hi) of c0 + c1 s + c2 s^2 on [lo, hi],
+    elementwise: coef stacks (c0, c1, c2), each shaped like lo and hi, on its
+    first axis, and the four breakpoints stack on the result's.
 
-    Piece j is P(b_j+1) - P(b_j), P the antiderivative, over breakpoints
-    that include every real root in the interval, so the quadratic keeps one
-    sign on each piece and the sum of |piece| is its integral of |.|.  The
-    root candidates q / c2 and c0 / q, q = -(c1 + sign(c1) sqrt(disc)) / 2,
-    are stable and cover c2 = 0; without real roots they are harmless extra
-    breakpoints, and nan ones (0 / 0) fall back to lo.
+    r1 <= r2 are the real roots clipped to [lo, hi], so the quadratic keeps
+    one sign between consecutive breakpoints.  The root candidates q / c2 and
+    c0 / q, q = -(c1 + sign(c1) sqrt(disc)) / 2, are stable and cover
+    c2 = 0; without real roots they are harmless extra breakpoints, and nan
+    ones (0 / 0) fall back to lo.
     """
     c0, c1, c2 = coef
     b = np.empty((4,) + np.shape(c0))
     b[0], b[3] = lo, hi
-    roots = b[1:3, ...]  # roots[k, ...] is an array for out=, even 0-d
+    roots, r1, r2 = b[1:3], b[1, ...], b[2, ...]  # r1, r2 arrays, even 0-d
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         q = -0.5 * (c1 + np.copysign(
             np.sqrt(np.maximum(c1 * c1 - 4.0 * c0 * c2, 0.0)), c1))
-        np.divide(q, c2, out=roots[0, ...])
-        np.divide(c0, q, out=roots[1, ...])
+        np.divide(q, c2, out=r1)
+        np.divide(c0, q, out=r2)
     np.fmin(np.fmax(roots, lo, out=roots), hi, out=roots)
-    roots[...] = np.fmin(*roots), np.fmax(*roots)
-    # b (c0 + b (c1 / 2 + b c2 / 3)), its operations in that order
+    least = np.fmin(r1, r2)
+    np.fmax(r1, r2, out=r2)
+    r1[...] = least
+    return b
+
+
+def _primitive(coef, b):
+    """b (c0 + b (c1 / 2 + b c2 / 3)), the antiderivative from 0 of
+    c0 + c1 s + c2 s^2 at b, its operations in that order."""
+    c0, c1, c2 = coef
     p = b * (c2 / 3.0)
     p += 0.5 * c1
     p *= b
     p += c0
     p *= b
-    return p[1:] - p[:-1]
+    return p
 
 
-def _scan_arrays(t):
-    """[1, t, t^2] and the side ends [0, t], [t, 1] at the (3, m) points t."""
-    v, ends = np.empty((3, 1, 3, t.shape[1])), np.empty((3, 3, t.shape[1]))
-    v[:, 0, 0], v[:, 0, 1], v[:, 0, 2] = 1.0, t, t * t
-    ends[:, 0], ends[:, 1], ends[:, 2] = 0.0, t, 1.0
-    return v, ends[:, :2], ends[:, 1:]
+def _root_candidates(c0, c1, c2):
+    """q / c2 and c0 / q for floats, q as in ``_breaks`` with the
+    discriminant taken as at least 0: the roots of c0 + c1 x + c2 x^2 when
+    they are real, each left out where its divisor is 0."""
+    q = -0.5 * (c1 + math.copysign(
+        math.sqrt(max(c1 * c1 - 4.0 * c0 * c2, 0.0)), c1))
+    return [r / d for r, d in ((q, c2), (c0, q)) if d]
 
 
-# the coarse scan and the zoom window never change: built once, read-only
-_SCAN_T = _read_only(np.tile(np.linspace(0.0, 1.0, NORM_SCAN_N + 1), (3, 1)))
-_SCAN = tuple(map(_read_only, _scan_arrays(_SCAN_T)))
-_WINDOW = _read_only(np.linspace(-1.0, 1.0, NORM_ZOOM_N + 1))
+def _points(t, rows):
+    """[1, t, t^2] at the points t, shaped (3, m), and the ends [0, t] and
+    [t, 1] of the two sides for each of rows rows, flat in (row, side,
+    point) order."""
+    t = np.asarray(t, dtype=float)
+    side = _UPPER_SIDE[:rows]
+    return (t ** _POWERS, np.where(side, t, 0.0).ravel(),
+            np.where(side, 1.0, t).ravel())
 
 
-def _row_pieces(tables, v, lo, hi):
-    """Pieces of row k on both sides at t[k], on (piece, row, side, i), and
-    their integrals of |row k| over [0, 1]; tables: the (3, 2, 3, 3) row
-    tables, last two axes swapped; (v, lo, hi): ``_scan_arrays(t)``."""
-    pieces = _pieces((tables @ v).transpose(2, 0, 1, 3), lo, hi)
-    # summed over the pieces first, then over the two sides
-    return pieces, np.abs(pieces).sum(axis=0).sum(axis=1)
+def _pair_stack(rows):
+    """Matrices whose product with [1, t, t^2] gives the s-coefficients of
+    row k and of row k + 1 on both sides, in (coefficient, k | k + 1, k,
+    side) order: (36, 3) for k = 0, 1, 2, the row after G_tt zero, and
+    (24, 3) for k = 0, 1."""
+    pair = np.zeros((2, 3, 2, 3, 3))
+    pair[0] = rows
+    pair[1, :2] = rows[1:]
+    pair = pair.transpose(4, 0, 1, 2, 3)
+    return pair.reshape(36, 3), pair[:, :, :2].reshape(24, 3)
 
 
-def _signs_and_norms(rows):
-    """(sigma_g, sigma_g1) and (M0, M1, M2) from the row tables, in one pass.
+def _row_pieces(stack, v, lo, hi):
+    """Pieces of each row k of ``_pair_stack`` at each point of v, and the
+    integrals of row k + 1 between the same breakpoints, on (piece,
+    k | k + 1, k, side, point)."""
+    c = (stack @ v).reshape(3, 2, -1)
+    p = _primitive(c, _breaks(c[:, 0], lo, hi)[:, None])
+    return (p[1:] - p[:-1]).reshape(3, 2, -1, 2, v.shape[1])
+
+
+def _norm_slopes(stack, v, lo, hi):
+    """N_k and its t-derivative N_k' at the points of v, one row k each.
+
+    N_k(t) sums |piece| of row k over its pieces and sides.  G and G_t are
+    continuous across s = t, so the diagonal terms of d/dt cancel for k = 0
+    and 1, and N_k' sums sgn(piece) times the integral of row k + 1 over
+    that piece.
+    """
+    pieces = _row_pieces(stack, v, lo, hi)
+    value, slope = pieces[:, 0], pieces[:, 1]
+    slope *= np.sign(value)
+    return np.abs(value).sum(axis=(0, 2)), slope.sum(axis=(0, 2))
+
+
+def _hermite_peak(a, b, fa, fb, da, db):
+    """Where the cubic with values fa, fb and slopes da, db at a < b peaks
+    inside [a, b]: the root of its derivative, a quadratic in
+    u = (x - a) / (b - a), at which that derivative falls; None if there is
+    no such root in [a, b]."""
+    h = b - a
+    s = (fb - fa) / h
+    c1, c2 = 6.0 * s - 4.0 * da - 2.0 * db, 3.0 * (da + db - 2.0 * s)
+    for u in _root_candidates(da, c1, c2):
+        if 0.0 <= u <= 1.0 and c1 + 2.0 * c2 * u < 0.0:
+            return a + u * h
+    return None
+
+
+# the t-scan of the signs and every 4th of its points, the brackets of the
+# norms, with the arrays of their points for rows 0 and 1: built once
+_SCAN_T = _read_only(np.linspace(0.0, 1.0, NORM_SCAN_N + 1))
+_SIGN_POINTS = tuple(map(_read_only, _points(_SCAN_T, 2)))
+_BRACKET_POINTS = tuple(map(_read_only, _points(_SCAN_T[::4], 2)))
+_BRACKET_T = tuple(_SCAN_T[::4].tolist())
+
+
+def _signs(rows):
+    """(sigma_g, sigma_g1) from the row tables, on the t-scan.
 
     A sign is +1 (-1) when no piece of the row on either side falls below
-    -SIGN_TOL (rises above SIGN_TOL) at any t of the coarse scan, else 0; a
-    row whose pieces all stay within SIGN_TOL of 0 counts as +1.  Each piece
+    -SIGN_TOL (rises above SIGN_TOL) at any t of the scan, else 0; a row
+    whose pieces all stay within SIGN_TOL of 0 counts as +1.  Each piece
     keeps one sign, so signs are exact in s; SIGN_TOL bounds areas, not values.
-
-    A norm is the exact integral of |row| over s at each t, maximised over t
-    by the coarse scan on NORM_SCAN_N intervals and NORM_ZOOMS rounds of
-    NORM_ZOOM_N intervals around the best point so far.  The max is a scan
-    estimate, not a certified bound: it cannot exceed the true norm beyond
-    rounding, but a peak narrower than the coarse spacing could be missed.
     """
-    tables = np.swapaxes(np.asarray(rows), 2, 3)
-    step = 1.0 / NORM_SCAN_N
-    t = _SCAN_T
-    pieces, vals = _row_pieces(tables, *_SCAN)
-    signs = tuple(1 if np.all(p >= -SIGN_TOL) else -1 if np.all(p <= SIGN_TOL)
-                  else 0 for p in (pieces[:, 0], pieces[:, 1]))
-    for _ in range(NORM_ZOOMS):
-        best = t[np.arange(3), np.argmax(vals, axis=1)]
-        t = np.clip(best[:, None] + step * _WINDOW, 0.0, 1.0)
-        _, vals = _row_pieces(tables, *_scan_arrays(t))
-        step *= 2.0 / NORM_ZOOM_N
-    return signs, tuple(float(m) for m in np.max(vals, axis=1))
+    pieces = _row_pieces(_pair_stack(rows)[1], *_SIGN_POINTS)[:, 0]
+    return tuple(1 if np.all(p >= -SIGN_TOL) else -1 if np.all(p <= SIGN_TOL)
+                 else 0 for p in (pieces[:, 0], pieces[:, 1]))
+
+
+def _norms(rows):
+    """(M0, M1, M2), the max over t of N_k(t), the integral of |row k| over s.
+
+    M2 in closed form: the G_tt tables do not depend on t and the lower one
+    is the upper one, U, plus 1, so N_2' = |U(t) + 1| - |U(t)|, zero only
+    where U = -1/2; M2 is N_2 at 0, 1 or those roots.  M0 and M1: N_k and
+    N_k' on the bracket points; in every cell where N_k' falls from
+    positive to negative (an end cell going by its inner end), a Hermite
+    step to the peak of the cubic through both ends, one secant step on
+    N_k' from there toward the end of the other sign, and N_k at both
+    points, at the second only where the step can raise it beyond rounding.
+    M_k is the largest value read, so it cannot exceed the true max beyond
+    rounding.
+    """
+    every, first = _pair_stack(rows)
+    n, d = _norm_slopes(first, *_BRACKET_POINTS)
+    best = n.max(axis=1).tolist()
+    # a peak lies in a cell where N_k' falls from positive to negative; at
+    # t = 0 or 1, N_k' reads 0 up to rounding where a boundary row makes
+    # row k + 1 vanish, so the end cells go by their inner end alone
+    ks, cells = np.nonzero((d[:, :-1] > 0.0) & (d[:, 1:] < 0.0))
+    brackets = list(zip(ks.tolist(), cells.tolist()))
+    last = len(_BRACKET_T) - 2
+    for k in (0, 1):
+        if d.item(k, 1) < 0.0 and not d.item(k, 0) > 0.0:
+            brackets.append((k, 0))
+        if d.item(k, last) > 0.0 and not d.item(k, last + 1) < 0.0:
+            brackets.append((k, last))
+    t, peaks = _BRACKET_T, []
+    for k, i in brackets:
+        x = _hermite_peak(t[i], t[i + 1], n.item(k, i), n.item(k, i + 1),
+                          d.item(k, i), d.item(k, i + 1))
+        if x is not None:
+            peaks.append((k, i, x))
+    u0, u1, u2 = rows[2][1][0].tolist()  # U, the upper G_tt row, in s
+    where2 = [0.0, 1.0] + [min(max(r, 0.0), 1.0)
+                           for r in _root_candidates(u0 + 0.5, u1, u2)]
+    n1, d1 = _norm_slopes(every, *_points([x for *_, x in peaks] + where2, 3))
+    x2 = []
+    for j, (k, i, x) in enumerate(peaks):
+        value, slope = n1.item(k, j), d1.item(k, j)
+        best[k] = max(best[k], value)
+        e = i + 1 if slope > 0.0 else i  # the end toward which N_k rises
+        other = d.item(k, e)
+        if slope * other >= 0.0:
+            continue  # x is a peak, or no end of the other sign is there
+        step = slope * (t[e] - x) / (slope - other)
+        # N_k rises by about slope * step / 2 on the way: read it at the
+        # end of the step only where that is more than its rounding
+        if abs(slope * step) > sys.float_info.epsilon * value:
+            x2.append((k, x + step))
+    if x2:
+        ks, ts = zip(*x2)
+        n2 = _norm_slopes(first, *_points(ts, 2))[0]
+        for j, k in enumerate(ks):
+            best[k] = max(best[k], n2.item(k, j))
+    return best[0], best[1], n1[2, len(peaks):].max().item()

@@ -13,7 +13,8 @@ from bvp3.cli import (FLOAT_FMT, NoExactSolution, _csv_text,
                       convergence_study, main)
 from bvp3 import (Diverged, Grid, MaxIterExceeded, NonFiniteValue,
                   get_problem, kernel_for, list_problems, solve, verdict)
-from bvp3.greens import CaseId, kernel_catalog
+from bvp3.greens import (BoundaryConditions, CaseId, build_general_kernel,
+                         kernel_catalog)
 from bvp3.quadrature import tabulate
 
 REPORT_FIELDS = ["problem", "h", "tol", "iterations", "final_diff", "q", "p_k",
@@ -97,11 +98,12 @@ def assert_writer_bytes(*columns):
     assert got == want, [(g, w) for g, w in zip(got, want) if g != w][:3]
 
 
-def kernel_columns(case, h):
-    """The columns of the bvp3 kernel dump of a catalog case."""
+def kernel_columns(case, h, kernel=None):
+    """The columns of the bvp3 kernel dump of a catalog case, or of the
+    kernel given, each built whole."""
     tt = Grid.from_h(h).nodes
     below = np.tri(tt.size, dtype=bool)
-    kernel = kernel_catalog(CaseId(case))
+    kernel = kernel or kernel_catalog(CaseId(case))
     return (np.repeat(tt, tt.size), np.tile(tt, tt.size),
             *(np.where(below, tabulate(low, tt), tabulate(up, tt)).ravel()
               for low, up in map(kernel.tables, range(3))))
@@ -272,6 +274,41 @@ def test_kernel_dump(runner, tmp_path):
                                    "--compare-general"])
         assert res.exit_code == 2
         assert "No such option" in res.output
+
+
+@pytest.mark.parametrize("n", [4, 23, 24, 48, 100, 200])
+def test_kernel_dump_blocks_give_the_whole_bytes(n, runner, tmp_path):
+    # 24 node rows a block, the last with the rest: one block below 25
+    # nodes, a last block of 25 rows at n = 24 and 48, and several blocks
+    # of a constructed kernel whose values are not exact in binary
+    h = 1.0 / n
+    kernel = build_general_kernel(BoundaryConditions(1, 0, 0, 0, 1, 0, 1, 0, 0))
+    want = "".join(_csv_text("t,s,G,G1,G2", kernel_columns(0, h, kernel)))
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("bc.json").write_text(json.dumps({
+            "a1": 1, "b1": 0, "g1": 0, "a2": 0, "b2": 1, "g2": 0,
+            "a3": 1, "b3": 0, "g3": 0}))
+        res = runner.invoke(main, ["kernel", "--bc-file", "bc.json",
+                                   "--h", repr(h), "--csv", "k.csv"])
+        assert res.exit_code == 0, res.output
+        assert Path("k.csv").read_text() == want
+
+
+def test_kernel_dump_memory_is_bounded(tmp_path, monkeypatch):
+    # the five (n+1)^2 columns built whole peaked at 6.96 MiB at h = 0.0025;
+    # tabulated a block of node rows at a time, the dump stays under 2 MiB,
+    # with the bytes of the whole columns
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        main(["kernel", "--case", "1", "--h", "0.0025", "--csv", "k.csv"],
+             standalone_mode=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+    want = "".join(_csv_text("t,s,G,G1,G2", kernel_columns(1, 0.0025)))
+    assert Path("k.csv").read_text() == want
 
 
 def test_kernel_case3_nonnegative(runner, tmp_path):

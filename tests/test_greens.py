@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import warnings
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -12,11 +13,11 @@ from numpy.testing import assert_allclose
 from bvp3 import (BoundaryConditions, CaseId, GreenKernel,
                   build_general_kernel, case_boundary_conditions,
                   kernel_catalog, numeric_kernel_norms)
-from bvp3 import greens
-from bvp3.greens import (NORM_SCAN_N, NORM_ZOOM_N, NORM_ZOOMS, SIGN_TOL,
-                         RankDeficientBC, SingularBoundarySystem, _pieces,
-                         _signs_and_norms, evaluate)
-from bvp3.quadrature import tabulate
+from bvp3 import conditions, greens, picard
+from bvp3.greens import (NORM_SCAN_N, SIGN_TOL, RankDeficientBC,
+                         SingularBoundarySystem, _breaks, _norms, _primitive,
+                         _signs, evaluate)
+from bvp3.quadrature import Grid, tabulate
 
 ALL_CASES = list(CaseId)
 ANALYTIC_NORMS = {
@@ -135,9 +136,8 @@ def test_case1_nonpositive_everywhere():
 
 def test_zero_row_counts_as_positive():
     zero = np.zeros((3, 3))
-    signs, norms = _signs_and_norms(((zero, zero),) * 3)
-    assert signs == (1, 1)
-    assert norms == (0.0, 0.0, 0.0)
+    assert _signs(((zero, zero),) * 3) == (1, 1)
+    assert _norms(((zero, zero),) * 3) == (0.0, 0.0, 0.0)
 
 
 def test_sign_change_between_probe_nodes():
@@ -147,9 +147,8 @@ def test_sign_change_between_probe_nodes():
     table = np.zeros((3, 3))
     table[0] = (0.0051 * 0.0059, -0.011, 1.0)
     assert _probe_sign(table, table) == 1
-    signs, _ = _signs_and_norms(((table, table),) * 3)
-    assert signs == (0, 0)
-    assert _signs_and_norms(((-table, -table),) * 3)[0] == (0, 0)
+    assert _signs(((table, table),) * 3) == (0, 0)
+    assert _signs(((-table, -table),) * 3) == (0, 0)
 
 
 @pytest.mark.parametrize("case", ALL_CASES)
@@ -445,7 +444,8 @@ def test_other_tables_are_scanned():
     kernels.append(build_general_kernel(
         BoundaryConditions(1, 0, 0, 0, 1, 0, 1, 0, 0)))
     for k in kernels:
-        assert ((k.sigma_g, k.sigma_g1), k.norms()) == _signs_and_norms(k._rows)
+        assert (k.sigma_g, k.sigma_g1) == _signs(k._rows)
+        assert k.norms() == _norms(k._rows)
 
 
 @pytest.mark.parametrize("coef, lo, hi, expected", [
@@ -464,6 +464,7 @@ def test_other_tables_are_scanned():
 def test_abs_integral_degenerate_polynomials(coef, lo, hi, expected):
     args = (np.array(coef), np.float64(lo), np.float64(hi))
     pieces = _pieces(*args)
+    assert pieces.shape == (3,)
     got = np.sum(np.abs(pieces))
     assert got == pytest.approx(expected, rel=0, abs=1e-15)
     assert np.array_equal(pieces, _reference_pieces(*args))
@@ -478,6 +479,11 @@ def test_sign_changing_rows_hand_oracle():
     assert (k.sigma_g, k.sigma_g1) == (-1, 0)
     assert_allclose(k.norms(), (2.0 / 81.0, 1.0 / 6.0, 2.0 / 3.0),
                     rtol=0, atol=1e-15)
+    # t = 2/3 falls a third of the way between bracket points 85/128 and
+    # 86/128, where N_0 is 1.1e-6 and 2.2e-6 below M0: the Hermite and
+    # secant steps read the peak itself
+    t = np.array(greens._BRACKET_T)
+    assert np.max(t * t * (1.0 - t) / 6.0) < 2.0 / 81.0 - 1e-6
     # at t = 3/4 that side splits at s = 2/3, where its antiderivative
     # s^2 / 4 - s^3 / 4 is 1/27 against 0.03515625 at s = 3/4
     low = k.tables(1)[0]
@@ -486,10 +492,23 @@ def test_sign_changing_rows_hand_oracle():
     assert lower == pytest.approx(2.0 / 27.0 - 0.03515625, rel=0, abs=1e-16)
 
 
-# The constructor's scan in its plain form, every array built per call and
-# every polynomial evaluated in one expression: the reference the signs and
-# norms of ``greens`` are held to bit for bit, and the scan the norm tests
-# below run at finer spacings.
+def _pieces(coef, lo, hi):
+    """The pieces as ``greens`` computes them: the antiderivative at the
+    breakpoints, differenced."""
+    p = _primitive(coef, _breaks(coef, lo, hi))
+    return p[1:] - p[:-1]
+
+
+# The zoomed scan of the signs and norms in its plain form, every array built
+# per call and every polynomial evaluated in one expression: the reference
+# the signs of ``greens`` are held to bit for bit and its norms to 1e-14, and
+# the scan the norm tests below run at finer spacings.  The norms took the
+# max over the t-scan, then NORM_ZOOMS rounds of NORM_ZOOM_N intervals around
+# the best point so far.
+NORM_ZOOM_N = 64
+NORM_ZOOMS = 3
+
+
 def _reference_pieces(coef, lo, hi):
     c0, c1, c2 = coef
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -578,15 +597,16 @@ FINE_TOL = 1e-8
 NUMERIC_TOL = 5e-6
 
 
-def _perturbed_kernels(count, seed):
-    """count kernels built from catalog rows plus normal noise of scale 0.1,
-    the catalog cases in turn, skipping dependent or singular draws."""
+def _perturbed_kernels(count, seed, widest=0.1):
+    """count kernels built from catalog rows plus normal noise, the catalog
+    cases in turn, skipping dependent or singular draws; the noise scale is
+    drawn from [0.1, widest] for each."""
     rng = np.random.default_rng(seed)
     kernels = []
     while len(kernels) < count:
         base = case_boundary_conditions(ALL_CASES[len(kernels) % 4])
         coef = np.array(astuple(base)[:9], dtype=float)
-        coef += rng.normal(0.0, 0.1, 9)
+        coef += rng.normal(0.0, rng.uniform(0.1, widest), 9)
         try:
             kernels.append(build_general_kernel(
                 BoundaryConditions(*coef, endpoints=base.endpoints)))
@@ -610,26 +630,134 @@ def test_exact_signs_match_grid_probe():
     assert {p[0] for p in patterns} == {p[1] for p in patterns} == {-1, 0, 1}
 
 
+# the bracket scan against the zoomed scan, over the 1404 kernels of the
+# test below: at most 4.9e-15 relative, and lower by at most 1.2e-15
+NORM_TOL = 1e-14
+
+
 def test_signs_and_norms_match_reference_bit_for_bit():
-    # 38 random kernels per endpoint pattern, 100 perturbed catalog rows and
-    # the catalog rows themselves: the scan arrays built once and the
-    # arithmetic done in place give the reference's signs and norms exactly;
-    # the kernels of the catalog rows carry the closed forms instead
+    # 38 random kernels per endpoint pattern, 100 perturbed catalog rows,
+    # 1000 catalog rows with noise of scale 0.1 to 1.0, and the catalog rows
+    # themselves: the signs are the reference's exactly, on first read; the
+    # norms are within NORM_TOL of it, and never lower by more; the kernels
+    # of the catalog rows carry the closed forms
     kernels = [k for i, ends in enumerate(ENDPOINTS)
                for k in _random_kernels(ends, 38, seed=500 + i)]
     kernels += _perturbed_kernels(100, seed=600)
+    kernels += _perturbed_kernels(1000, seed=601, widest=1.0)
     catalog = [build_general_kernel(case_boundary_conditions(case))
                for case in ALL_CASES]
+    gaps = []
     for k in kernels:
         rows = [k.tables(order) for order in range(3)]
-        expected = _reference_signs_and_norms(rows)
-        assert _signs_and_norms(rows) == expected
-        assert ((k.sigma_g, k.sigma_g1), k.norms()) == expected
+        signs, norms = _reference_signs_and_norms(rows)
+        assert _signs(rows) == signs
+        assert (k.sigma_g, k.sigma_g1) == signs
+        assert k.norms() == _norms(rows)
+        gaps.append(np.array(k.norms()) / np.array(norms) - 1.0)
+    gaps = np.array(gaps)
+    assert np.all(np.abs(gaps) <= NORM_TOL), np.abs(gaps).max(axis=0)
     for case, k in zip(ALL_CASES, catalog):
         rows = [k.tables(order) for order in range(3)]
-        assert _signs_and_norms(rows) == _reference_signs_and_norms(rows)
+        signs, norms = _reference_signs_and_norms(rows)
+        assert _signs(rows) == signs == SIGNS[case]
+        assert_allclose(_norms(rows), norms, rtol=NORM_TOL, atol=0)
         assert (k.sigma_g, k.sigma_g1) == SIGNS[case]
         assert k.norms() == ANALYTIC_NORMS[case]
+
+
+def test_closed_form_m2_matches_the_scan():
+    # M2 is N_2 at 0, 1 and the roots of U = -1/2: the zoomed scan of N_2
+    # and a 4096-interval one never beat it beyond rounding, and the zoomed
+    # one meets it to NORM_TOL, on 200 noisy catalog kernels
+    for k in _perturbed_kernels(200, seed=602, widest=1.0):
+        rows = [k.tables(order) for order in range(3)]
+        zoomed = _reference_signs_and_norms(rows)[1][2]
+        scan = _scan(k, 4096)[0][2]
+        assert k.m2 == pytest.approx(zoomed, rel=NORM_TOL, abs=0)
+        assert k.m2 >= scan * (1.0 - SCAN_TOL)
+
+
+# CASE1 rows plus noise: N_0 peaks near t = 0.987, where the Hermite step
+# alone reads it 6.8e-12 low
+SECANT_BC = (0.91, 0.02, 0.06, -0.02, 1.05, -0.01, 0.03, 1.06, -0.01)
+
+
+def test_secant_step_reads_past_the_hermite_point(monkeypatch):
+    # N_k is read on the brackets, at the Hermite points with M2's points,
+    # and after the secant step; here that third read sets M0
+    reads = []
+    slopes = greens._norm_slopes
+
+    def spy(stack, v, lo, hi):
+        out = slopes(stack, v, lo, hi)
+        reads.append(out[0].copy())
+        return out
+
+    monkeypatch.setattr(greens, "_norm_slopes", spy)
+    k = build_general_kernel(BoundaryConditions(*SECANT_BC))
+    assert len(reads) == 3 and reads[2].shape == (2, 1)
+    earlier = max(reads[0][0].max(), reads[1][0].max())
+    assert k.m0 == reads[2][0, 0] > earlier * (1.0 + 5e-12)
+    rows = [k.tables(order) for order in range(3)]
+    assert k.m0 == pytest.approx(_reference_signs_and_norms(rows)[1][0],
+                                 rel=NORM_TOL, abs=0)
+
+
+@pytest.mark.parametrize("coef", [
+    # u'(1) = 0 among the rows, so N_0' reads 0 at t = 1 (7.6e-17 here)
+    (0.008747026214221892, 0.00611883196578572, -1.0550546628513604, 0.0,
+     0.1322250600051318, 0.0, -3.725864804395675, 0.0, 0.045911350663329596),
+    # N_0' positive at both ends of the last cell, negative in between
+    (0.0018086417504546372, -121.3387064289266, 0.0015174193272741731,
+     0.0011977597309616366, -0.3176570106767845, -0.05914095521348758,
+     7.345869756581682, 0.004069023187943718, -0.17998642092746067),
+], ids=["zero-slope-end", "two-sign-changes"])
+def test_peak_in_an_end_cell(coef):
+    # N_0 peaks inside the last cell, with no sign change of N_0' across it:
+    # the end cells count on their inner end alone, so the peak is read
+    k = build_general_kernel(BoundaryConditions(*coef, endpoints=(1, 1, 0)))
+    rows = [k.tables(order) for order in range(3)]
+    n, d = greens._norm_slopes(greens._pair_stack(k._rows)[1],
+                               *greens._BRACKET_POINTS)
+    assert d[0, -1] >= 0.0 and n[0].max() < k.m0 * (1.0 - 1e-9)
+    assert k.m0 == pytest.approx(_reference_signs_and_norms(rows)[1][0],
+                                 rel=NORM_TOL, abs=0)
+
+
+def test_solving_reads_no_signs(monkeypatch):
+    # a kernel that is only solved with never scans for its signs; a
+    # verdict's first read scans once and finds the reference's signs
+    calls = []
+    scan = greens._signs
+    monkeypatch.setattr(greens, "_signs",
+                        lambda rows: calls.append(1) or scan(rows))
+    bc = BoundaryConditions(1.0, 0.1, 0.0, 0.05, 1.0, 0.0, 0.0, 0.9, 0.1)
+    kernel = build_general_kernel(bc)
+    problem = picard.ProblemSpec(f=lambda t, x, y, z: 1.0 + 0.1 * x, bc=bc,
+                                 M=1.0, lipschitz=(0.1, 0.0, 0.0))
+    _, report = picard.solve(problem, Grid(50), kernel=kernel)
+    picard.solve(problem, Grid(50))
+    assert report.converged and calls == []
+    conditions.verdict(problem, kernel, 1.0, samples=1024)
+    conditions.verdict(problem, kernel, 1.0, samples=1024)
+    rows = [kernel.tables(order) for order in range(3)]
+    assert calls == [1]
+    assert ((kernel.sigma_g, kernel.sigma_g1)
+            == _reference_signs_and_norms(rows)[0])
+
+
+@pytest.mark.parametrize("table, said", [
+    (np.full((3, 3), np.nan), "finite: it holds nan"),
+    (np.diag([np.inf, 1.0, 1.0]), "finite: it holds inf"),
+    (np.zeros((2, 2)), r"3x3: its shape is \(2, 2\)"),
+], ids=["nan", "inf", "2x2"])
+def test_kernel_table_is_checked(table, said):
+    # a bad table is named, with no warning from the arithmetic on it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="kernel table must be " + said):
+            GreenKernel(table)
 
 
 @pytest.mark.parametrize("ends", ENDPOINTS)
