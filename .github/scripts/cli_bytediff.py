@@ -74,6 +74,8 @@ COMMANDS = (
         ["kernel", "--bc-file", "bc.json", "--h", "0.01"],
         # a dump tabulated in several blocks of node rows
         ["kernel", "--bc-file", "bc.json", "--h", "0.005"],
+        # a catalog dump of 21 blocks
+        ["kernel", "--case", "2", "--h", "0.002"],
         ["solve", "--problem", "bai-3.5", "--h", "0.0005"],
         ["solve", "--problem", "yao-feng-7", "--h", "0.0005"],
         ["convergence", "--problem", "dqa1"],

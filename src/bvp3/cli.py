@@ -1,12 +1,16 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 for domain failures (unknown problem, divergence,
-singular boundary systems, missing exact solution) and for output or
-boundary-condition files that cannot be written or read, 2 for usage errors.
+singular boundary systems, missing exact solution), for a grid or sample
+count too large to allocate, and for output or boundary-condition files that
+cannot be written or read, 2 for usage errors.
 All file output is deterministic: floats print with 17 significant digits,
 lines end with LF, and no timestamps or environment state leak in.  The solve
 report and the check verdict are JSON documents written from the fields of
-``IterationReport`` and ``ConditionVerdict``, in declaration order.
+``IterationReport`` and ``ConditionVerdict``, in declaration order.  The
+kernel dump reads ``quadrature.tabulate_blocks`` a block of node rows at a
+time, so it holds no (n+1)^2 column and equals ``quadrature.tabulate`` by
+construction.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .greens import (_COEFFICIENTS, BoundaryConditions, CaseId,
                      build_general_kernel, kernel_catalog)
 from .picard import (Diverged, MaxIterExceeded, NonFiniteValue, kernel_for,
                      solve)
-from .quadrature import Grid
+from .quadrature import Grid, tabulate_blocks
 
 __all__ = ["main", "NoExactSolution", "convergence_study"]
 
@@ -39,15 +43,14 @@ _TENS = np.array([float("1e%d" % k) for k in range(-4, 21)])
 _DIGITS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4,
                                indexing="ij"), -1).view(np.uint32).ravel()
 _ROWS = np.arange(25, dtype=np.uint8)[:, None]
-# node rows in a block of the kernel dump (see _kernel_text)
-KERNEL_ROWS = 24
 # JSON names of the kernel norms, and record fields kept in memory only
 _JSON_NAMES = {"m0": "M0", "m1": "M1", "m2": "M2"}
 _IN_MEMORY = ("diffs", "history")
 # the failures that end a command with exit 1; ValueError covers the bad
-# numbers, boundary systems and JSON of every layer
-_FAILURES = (ValueError, OSError, UnknownProblem, Diverged, MaxIterExceeded,
-             NonFiniteValue)
+# numbers, boundary systems and JSON of every layer, MemoryError a grid or
+# sample count too large to allocate
+_FAILURES = (ValueError, OSError, MemoryError, UnknownProblem, Diverged,
+             MaxIterExceeded, NonFiniteValue)
 
 
 class NoExactSolution(ValueError):
@@ -270,29 +273,14 @@ def cmd_kernel(case_num, bc_file, h, csv_path):
 
 def _kernel_text(kernel, nodes):
     """The kernel dump in pieces: t, s, G, G_t and G_tt at every node pair
-    (t_i, s_j), lower branch on s <= t, tabulated KERNEL_ROWS values of i at
-    a time, so its memory does not grow as the square of the nodes.
-
-    ``quadrature.tabulate`` is (V @ C) @ V.T; here V @ C is built once and
-    each block is its rows times V.T.  BLAS kernels work on fixed groups of
-    rows, so a block's bits match the whole product's only where the groups
-    line up: with OpenBLAS 0.3.31 (x86-64, AVX-512, one thread), blocks that
-    start at multiples of 24 rows matched for every n up to 1000, while
-    blocks at other offsets, and single rows, which go through a
-    matrix-vector product, did not.  So the last block takes the rest,
-    never one row alone.
-    """
-    size = nodes.size
-    v = np.stack([np.ones_like(nodes), nodes, nodes * nodes], axis=1)
-    left = [[v @ table for table in kernel.tables(k)] for k in range(3)]
-    starts = [*range(0, max(size - 1, 1), KERNEL_ROWS), size]
+    (t_i, s_j), lower branch on s <= t, one ``tabulate_blocks`` block of
+    node rows at a time, so its memory does not grow as the square of the
+    nodes."""
     yield "t,s,G,G1,G2\n"
-    for a, b in zip(starts, starts[1:]):
-        below = np.arange(size) <= np.arange(a, b)[:, None]
-        yield from _csv_rows((
-            np.repeat(nodes[a:b], size), np.tile(nodes, b - a),
-            *(np.where(below, low[a:b] @ v.T, up[a:b] @ v.T).ravel()
-              for low, up in left)))
+    for a, b, values in tabulate_blocks(kernel._rows, nodes):
+        rows = np.where(nodes <= nodes[a:b, None], values[:, 0], values[:, 1])
+        yield from _csv_rows((np.repeat(nodes[a:b], nodes.size),
+                              np.tile(nodes, b - a), *rows.reshape(3, -1)))
 
 
 def convergence_study(entry, h0, levels, tol=1e-6):

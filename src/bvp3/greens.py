@@ -29,12 +29,12 @@ k + 1 between the same breakpoints.  The norms are built with the kernel:
 M2 in closed form, as N_2' = |U + 1| - |U| for U the t-free upper G_tt row;
 M0 and M1 from N_k and N_k' on a bracket scan of every 4th point of the
 t-scan, a Hermite step into each cell where N_k' falls from positive to
-negative (an end cell going by its inner end), and a secant step on N_k'
-after it.  Every candidate is a value of N_k, so each norm is an estimate
-of the max and not a certified bound.  The signs are read from the pieces
-of G and G_t on the t-scan, on their first read: a kernel that is only
-solved with never scans for them.  The scans' fixed arrays are built once,
-at import.
+negative (an end cell going by its inner end), and up to two secant
+steps on N_k' after it.  Every candidate is a value of N_k, so each norm
+is an estimate of the max and not a certified bound.  The signs are read
+from the pieces of G and G_t alone on the t-scan, on their first read: a
+kernel that is only solved with never scans for them.  The scans' fixed
+arrays are built once, at import.
 
 Branch convention: the "lower" table applies on s <= t, the "upper" one on
 t <= s.  Both are polynomials on the whole square; at the diagonal the lower
@@ -68,6 +68,7 @@ SIGN_TOL = 1e-12
 CONDITION_LIMIT = 1e12
 NORM_SCAN_N = 512  # intervals of the t-scan for the signs; every 4th point
 # of it brackets the norms
+SECANT_STEPS = 2  # on N_k' after the Hermite step, each where it can gain
 
 # the exponents of [1, t, t^2]; True on the upper side of each of three
 # rows, the side that starts at t (the lower one ends there)
@@ -427,12 +428,13 @@ def _pair_stack(rows):
 
 
 def _row_pieces(stack, v, lo, hi):
-    """Pieces of each row k of ``_pair_stack`` at each point of v, and the
-    integrals of row k + 1 between the same breakpoints, on (piece,
-    k | k + 1, k, side, point)."""
-    c = (stack @ v).reshape(3, 2, -1)
+    """Pieces of each row k of a ``_pair_stack`` stack at each point of v,
+    and, where the stack pairs row k with row k + 1, the integrals of row
+    k + 1 between the same breakpoints, on (piece, k | k + 1, k, side,
+    point); a stack of rows alone gives their pieces only."""
+    c = (stack @ v).reshape(3, -1, lo.size)
     p = _primitive(c, _breaks(c[:, 0], lo, hi)[:, None])
-    return (p[1:] - p[:-1]).reshape(3, 2, -1, 2, v.shape[1])
+    return (p[1:] - p[:-1]).reshape(3, c.shape[1], -1, 2, v.shape[1])
 
 
 def _norm_slopes(stack, v, lo, hi):
@@ -479,7 +481,9 @@ def _signs(rows):
     whose pieces all stay within SIGN_TOL of 0 counts as +1.  Each piece
     keeps one sign, so signs are exact in s; SIGN_TOL bounds areas, not values.
     """
-    pieces = _row_pieces(_pair_stack(rows)[1], *_SIGN_POINTS)[:, 0]
+    # rows 0 and 1 alone, in the (coefficient, k, side) order of the pairs
+    stack = np.transpose(rows[:2], (3, 0, 1, 2)).reshape(12, 3)
+    pieces = _row_pieces(stack, *_SIGN_POINTS)[:, 0]
     return tuple(1 if np.all(p >= -SIGN_TOL) else -1 if np.all(p <= SIGN_TOL)
                  else 0 for p in (pieces[:, 0], pieces[:, 1]))
 
@@ -492,11 +496,12 @@ def _norms(rows):
     where U = -1/2; M2 is N_2 at 0, 1 or those roots.  M0 and M1: N_k and
     N_k' on the bracket points; in every cell where N_k' falls from
     positive to negative (an end cell going by its inner end), a Hermite
-    step to the peak of the cubic through both ends, one secant step on
-    N_k' from there toward the end of the other sign, and N_k at both
-    points, at the second only where the step can raise it beyond rounding.
-    M_k is the largest value read, so it cannot exceed the true max beyond
-    rounding.
+    step to the peak of the cubic through both ends, then up to
+    SECANT_STEPS secant steps on N_k', the first from there toward the end
+    of the other sign and the next through the last two points, each taken
+    only where it can raise N_k beyond rounding, and N_k read at every
+    point.  M_k is the largest value read, so it cannot exceed the true max
+    beyond rounding.
     """
     every, first = _pair_stack(rows)
     n, d = _norm_slopes(first, *_BRACKET_POINTS)
@@ -522,22 +527,31 @@ def _norms(rows):
     where2 = [0.0, 1.0] + [min(max(r, 0.0), 1.0)
                            for r in _root_candidates(u0 + 0.5, u1, u2)]
     n1, d1 = _norm_slopes(every, *_points([x for *_, x in peaks] + where2, 3))
-    x2 = []
+    # reads at which a secant step on N_k' may start: (k, x, N_k(x),
+    # N_k'(x), and the other point of the secant with its N_k')
+    reads = []
     for j, (k, i, x) in enumerate(peaks):
         value, slope = n1.item(k, j), d1.item(k, j)
         best[k] = max(best[k], value)
         e = i + 1 if slope > 0.0 else i  # the end toward which N_k rises
-        other = d.item(k, e)
-        if slope * other >= 0.0:
-            continue  # x is a peak, or no end of the other sign is there
-        step = slope * (t[e] - x) / (slope - other)
-        # N_k rises by about slope * step / 2 on the way: read it at the
-        # end of the step only where that is more than its rounding
-        if abs(slope * step) > sys.float_info.epsilon * value:
-            x2.append((k, x + step))
-    if x2:
-        ks, ts = zip(*x2)
-        n2 = _norm_slopes(first, *_points(ts, 2))[0]
-        for j, k in enumerate(ks):
+        # no secant where x is a peak, or no end of the other sign is there
+        if slope * d.item(k, e) < 0.0:
+            reads.append((k, x, value, slope, t[e], d.item(k, e)))
+    for _ in range(SECANT_STEPS):
+        steps = []
+        for k, x, value, slope, x0, slope0 in reads:
+            # to the root of the secant through (x0, slope0) and (x, slope);
+            # N_k rises by about slope * step / 2 on the way: step and read
+            # it only where that is more than its rounding
+            step = (slope * (x0 - x) / (slope - slope0)
+                    if slope != slope0 else 0.0)
+            if abs(slope * step) > sys.float_info.epsilon * value:
+                steps.append((k, min(max(x + step, 0.0), 1.0), x, slope))
+        if not steps:
+            break
+        n2, d2 = _norm_slopes(first, *_points([x for _, x, *_ in steps], 2))
+        reads = []
+        for j, (k, x, x0, slope0) in enumerate(steps):
             best[k] = max(best[k], n2.item(k, j))
+            reads.append((k, x, n2.item(k, j), d2.item(k, j), x0, slope0))
     return best[0], best[1], n1[2, len(peaks):].max().item()

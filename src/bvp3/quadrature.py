@@ -13,11 +13,18 @@ grid and the stack once per kernel, both read-only, and the moments are
 written in place in the order of the plain formula, so the fields are those
 of a fresh evaluation bit for bit.  ``kernel_row_matrix`` writes the rule
 out as a dense (n+1)^2 weight matrix, the reference the tests hold
-``apply_rows`` to; ``numeric_kernel_norms`` reads its weights for quadrature
-values of M0..M2, the reference for the exact norms of ``greens``.
+``apply_rows`` to; ``numeric_kernel_norms`` reads the same weights for
+quadrature values of M0..M2, the reference for the exact norms of
+``greens``, and holds no (n+1)^2 array: 2.4 MiB at its peak at refinement
+10, where the whole tables and weights took 23 MiB.
 
-Every grid rule of the package is here: the split weights, and ``tabulate``,
-a table's values at every pair of nodes as V @ C @ V.T, V = [1, x, x^2].
+Every grid rule of the package is here: the split weights, and
+``tabulate_blocks``, the values of a stack of tables at every pair of nodes
+as V @ C @ V.T, V = [1, x, x^2], a block of node rows at a time.
+``tabulate``, ``kernel_row_matrix``, ``numeric_kernel_norms`` and the
+kernel dump of ``bvp3 kernel`` all read its blocks, so the dump equals
+``tabulate`` by construction, and the weights are built for a block's rows
+only.
 """
 
 from __future__ import annotations
@@ -35,10 +42,12 @@ __all__ = [
     "kernel_row_matrix",
     "numeric_kernel_norms",
     "tabulate",
+    "tabulate_blocks",
 ]
 
 NODE_TOL = 1e-9
 NORM_BASE_N = 100  # numeric_kernel_norms grid per unit of refinement
+BLOCK_ROWS = 24  # node rows in a block of tabulate_blocks
 
 
 @dataclass(frozen=True)
@@ -80,25 +89,48 @@ class Grid:
         return cls(n)
 
 
-def tabulate(table, nodes):
-    """Matrix of table values at (t_i, s_j) for every pair of nodes."""
+def tabulate_blocks(tables, nodes):
+    """(a, b, values) for each block of node rows a <= i < b: the values of
+    tables, a (..., 3, 3) stack, at (t_i, s_j) for every node s_j, shaped
+    (..., b - a, len(nodes)), so a caller need not hold a whole table.
+
+    Each block is (V @ C)[a:b] @ V.T, V = [1, x, x^2], with V @ C built once
+    per table.  BLAS kernels work on fixed groups of rows, so a block's bits
+    match the whole product's only where the groups line up: with OpenBLAS
+    0.3.31 (x86-64, AVX-512, one thread), blocks that start at multiples of
+    BLOCK_ROWS = 24 matched for every n up to 1000, while blocks at other
+    offsets, and single rows, which go through a matrix-vector product, did
+    not.  So the last block takes the rest, never one row alone.
+    """
     x = np.asarray(nodes, dtype=float)
     v = np.stack([np.ones_like(x), x, x * x], axis=1)
-    return v @ table @ v.T
+    left = v @ tables
+    starts = [*range(0, max(x.size - 1, 1), BLOCK_ROWS), x.size]
+    for a, b in zip(starts, starts[1:]):
+        yield a, b, left[..., a:b, :] @ v.T
 
 
-def _split_weights(n):
-    """Trapezoid weights (w_lower, w_upper) on the n-interval unit grid, split
-    at the diagonal: row i of w_lower integrates over [0, t_i] and row i of
-    w_upper over [t_i, 1], so each side uses its own table and the jump in
-    G_tt never straddles a subinterval.  w_upper is w_lower turned half a
-    turn."""
-    h = 1.0 / n
-    w_low = np.tril(np.full((n + 1, n + 1), h))
-    w_low[:, 0] *= 0.5
-    w_low[np.diag_indices(n + 1)] *= 0.5
-    w_low[0, :] = 0.0
-    return w_low, w_low[::-1, ::-1]
+def tabulate(table, nodes):
+    """Matrix of table values at (t_i, s_j) for every pair of nodes, joined
+    from the blocks of ``tabulate_blocks``."""
+    return np.concatenate([vals for *_, vals in tabulate_blocks(table, nodes)])
+
+
+def _split_weights(n, a=0, b=None):
+    """Rows a to b (all by default) of the trapezoid weights, stacked as
+    (w_lower, w_upper), on the n-interval unit grid, split at the diagonal:
+    row i of w_lower integrates over [0, t_i] and row i of w_upper over
+    [t_i, 1], so each side uses its own table and the jump in G_tt never
+    straddles a subinterval.  w_upper is w_lower turned half a turn: its
+    row i is row n - i of w_lower, reversed."""
+    rows = np.arange(a, n + 1 if b is None else b)
+    i, j = np.array([rows, n - rows])[..., None], np.arange(n + 1)
+    # the upper side compares n - j with n - i, so it holds j >= i
+    w = (np.array([j, n - j])[:, None] <= i) * (1.0 / n)
+    # each side's outer end halved, and zeroed on a row of zero length
+    w[[0, 1], :, [0, n]] *= 0.5 * (i[..., 0] > 0)
+    w[:, rows - a, rows] *= 0.5  # the diagonal
+    return w
 
 
 _ROW_KEYS = ("G", "G1", "G2")
@@ -109,25 +141,25 @@ def kernel_row_matrix(kernel: GreenKernel, row: str, grid: Grid) -> np.ndarray:
     (W @ phi)[i] integrates K(t_i, s) phi(s) over [0, 1], split at t_i."""
     if row not in _ROW_KEYS:
         raise ValueError("row must be one of %r" % (_ROW_KEYS,))
-    low, up = kernel.tables(_ROW_KEYS.index(row))
-    w_low, w_up = _split_weights(grid.n)
-    return w_low * tabulate(low, grid.nodes) + w_up * tabulate(up, grid.nodes)
+    blocks = tabulate_blocks(kernel.tables(_ROW_KEYS.index(row)), grid.nodes)
+    return np.concatenate([np.sum(_split_weights(grid.n, a, b) * values, 0)
+                           for a, b, values in blocks])
 
 
 def numeric_kernel_norms(kernel: GreenKernel, refinement: int = 10):
     """Quadrature values of (M0, M1, M2) on a grid refined by ``refinement``:
-    the largest row sum of w_lower * |lower| + w_upper * |upper|."""
+    the largest row sum of w_lower * |lower| + w_upper * |upper|, each side
+    summed on its own, a block of node rows at a time."""
     if refinement < 1:
         raise ValueError("refinement must be at least 1")
     grid = Grid(NORM_BASE_N * refinement)
-    w_low, w_up = _split_weights(grid.n)
-    norms = []
-    for low, up in map(kernel.tables, range(3)):
-        # summing each side on its own keeps fewer (n+1)^2 temporaries alive
-        rows = (np.sum(w_low * np.abs(tabulate(low, grid.nodes)), axis=1)
-                + np.sum(w_up * np.abs(tabulate(up, grid.nodes)), axis=1))
-        norms.append(float(np.max(rows)))
-    return tuple(norms)
+    sums = []
+    for a, b, values in tabulate_blocks(kernel._rows, grid.nodes):
+        np.abs(values, out=values)
+        values *= _split_weights(grid.n, a, b)
+        # each side's row sums, then lower plus upper
+        sums.append(values.sum(axis=-1).sum(axis=1))
+    return tuple(np.concatenate(sums, axis=1).max(axis=1).tolist())
 
 
 def apply_rows(kernel: GreenKernel, grid: Grid, phi):

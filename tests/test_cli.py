@@ -1,6 +1,7 @@
 """Command line behavior: outputs, determinism, exit codes."""
 
 import collections
+import importlib
 import json
 import tracemalloc
 from pathlib import Path
@@ -489,6 +490,36 @@ def test_every_domain_failure_exits_1(runner, tmp_path, monkeypatch, target,
         res = runner.invoke(main, args)
     assert res.exit_code == 1
     assert res.output == lead + "injected failure\n"
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+REFUSED = "Unable to allocate 745. GiB for an array"
+
+
+@pytest.mark.parametrize("target, args", [
+    ("numpy.linspace", ["solve", "--problem", "dqa", "--h", "1e-11"]),
+    ("numpy.linspace", ["convergence", "--problem", "dqa", "--h0", "1e-11"]),
+    ("bvp3.conditions._halton",
+     ["check", "--problem", "dqa", "--samples", str(10 ** 20)]),
+], ids=["solve", "convergence", "check"])
+def test_allocation_failure_ends_with_clean_error(runner, tmp_path,
+                                                  monkeypatch, target, args):
+    # the grid nodes and the Halton points are the first arrays of these
+    # sizes; each is refused here, as numpy refuses a request beyond the
+    # address space, so the test never asks for the memory
+    module, name = target.rsplit(".", 1)
+    allocate = getattr(importlib.import_module(module), name)
+
+    def refused(*args, **kwargs):
+        if any(isinstance(a, int) and a > 10 ** 9 for a in args):
+            raise MemoryError(REFUSED)
+        return allocate(*args, **kwargs)
+
+    monkeypatch.setattr(target, refused)
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert res.output == "Error: dqa: %s\n" % REFUSED
     assert res.exception is None or isinstance(res.exception, SystemExit)
 
 

@@ -704,6 +704,48 @@ def test_secant_step_reads_past_the_hermite_point(monkeypatch):
                                  rel=NORM_TOL, abs=0)
 
 
+# wide-scale rows where the Hermite point lands 6.2e-6 from the peak of N_1
+# (t = 0.400477) and the first secant step leaves 1e-7, worth 2.5e-14 of M1
+SECOND_SECANT_BC = BoundaryConditions(
+    0.653216499720665, 14.661543663415758, -1.4223899364019486,
+    14.499318638148258, 803.0843007483425, -54.88157490860624,
+    -14.79795653127652, -817.7473912508443, 55.91602555404528,
+    endpoints=(0, 1, 1))
+
+
+def test_second_secant_step_reads_the_peak(monkeypatch):
+    # the first step's gain is beyond rounding, so a second step is taken
+    # and read, a fourth read; M1 is then not below the zoomed scan
+    reads = []
+    slopes = greens._norm_slopes
+
+    def spy(stack, v, lo, hi):
+        out = slopes(stack, v, lo, hi)
+        reads.append(out[0].copy())
+        return out
+
+    monkeypatch.setattr(greens, "_norm_slopes", spy)
+    k = build_general_kernel(SECOND_SECANT_BC)
+    assert len(reads) == 4 and reads[3].shape == (2, 1)
+    assert k.m1 == reads[3][1, 0] > reads[2][1, 0]
+    rows = [k.tables(order) for order in range(3)]
+    assert k.m1 >= _reference_signs_and_norms(rows)[1][1] * (1.0 - 1e-15)
+
+
+def test_signs_integrate_the_value_rows_alone(monkeypatch):
+    # the first sign read takes the pieces of rows 0 and 1, not the
+    # integrals of their k + 1 partners that the norms need
+    stacks = []
+    pieces = greens._row_pieces
+    monkeypatch.setattr(greens, "_row_pieces",
+                        lambda stack, *a: stacks.append(stack.shape)
+                        or pieces(stack, *a))
+    k = build_general_kernel(BoundaryConditions(*SECANT_BC))
+    stacks.clear()
+    assert (k.sigma_g, k.sigma_g1) == _signs(k._rows)
+    assert stacks == [(12, 3)] * 2
+
+
 @pytest.mark.parametrize("coef", [
     # u'(1) = 0 among the rows, so N_0' reads 0 at t = 1 (7.6e-17 here)
     (0.008747026214221892, 0.00611883196578572, -1.0550546628513604, 0.0,

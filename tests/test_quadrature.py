@@ -1,5 +1,6 @@
-"""Grid bookkeeping, the trapezoid weights, the diagonal split, and the
-O(n) apply held to the dense weight matrices."""
+"""Grid bookkeeping, the trapezoid weights, the diagonal split, the O(n)
+apply held to the dense weight matrices, and the blocked tabulation held to
+whole tables and weights."""
 
 import itertools
 import math
@@ -14,7 +15,8 @@ from bvp3 import (BoundaryConditions, CaseId, Grid, RankDeficientBC,
                   SingularBoundarySystem, apply_rows, build_general_kernel,
                   kernel_catalog, kernel_row_matrix, numeric_kernel_norms)
 from bvp3.greens import evaluate
-from bvp3.quadrature import _split_weights
+from bvp3.quadrature import (BLOCK_ROWS, NORM_BASE_N, _split_weights,
+                             tabulate, tabulate_blocks)
 
 GRID = Grid(100)
 CASE1 = kernel_catalog(CaseId.CASE1)
@@ -268,3 +270,110 @@ def test_apply_rows_memory_per_node():
     finally:
         tracemalloc.stop()
     assert peak <= 28 * 8 * (n + 1)
+
+
+def _reference_split_weights(n):
+    """The split weights as whole (n+1)^2 matrices, built the plain way:
+    the reference the blocked weights are held to bit for bit."""
+    h = 1.0 / n
+    w_low = np.tril(np.full((n + 1, n + 1), h))
+    w_low[:, 0] *= 0.5
+    w_low[np.diag_indices(n + 1)] *= 0.5
+    w_low[0, :] = 0.0
+    return w_low, w_low[::-1, ::-1]
+
+
+def _reference_numeric_norms(kernel, refinement):
+    """numeric_kernel_norms on whole tables: each side's weighted row sums
+    of |values| added, then the largest."""
+    n = NORM_BASE_N * refinement
+    nodes = Grid(n).nodes
+    w_low, w_up = _reference_split_weights(n)
+    return tuple(
+        float(np.max(np.sum(w_low * np.abs(tabulate(low, nodes)), axis=1)
+                     + np.sum(w_up * np.abs(tabulate(up, nodes)), axis=1)))
+        for low, up in map(kernel.tables, range(3)))
+
+
+def _random_kernels(count, seed):
+    rng = np.random.default_rng(seed)
+    kernels = []
+    while len(kernels) < count:
+        ends = tuple(int(e) for e in rng.integers(0, 2, 3))
+        try:
+            kernels.append(build_general_kernel(BoundaryConditions(
+                *rng.uniform(-1.0, 1.0, 9), endpoints=ends)))
+        except (RankDeficientBC, SingularBoundarySystem):
+            continue
+    return kernels
+
+
+BLOCK_KERNELS = [*map(kernel_catalog, CaseId), *_random_kernels(8, 31)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 23, 24, 25, 48, 100])
+def test_split_weights_rows_match_whole_matrices(n):
+    # the full-row weights, and every block of rows, bit for bit
+    ref = np.array(_reference_split_weights(n))
+    w = _split_weights(n)
+    assert w.shape == ref.shape
+    assert np.array_equal(w.view(np.uint64), ref.view(np.uint64))
+    for a, b in [(0, 1), (0, n + 1), (1, n), (n // 2, n + 1), (n, n + 1)]:
+        assert np.array_equal(_split_weights(n, a, b), ref[:, a:b])
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 24, 25, 26, 47, 48, 49, 50, 401])
+def test_tabulate_blocks_cover_the_rows(size):
+    # blocks start at multiples of BLOCK_ROWS and the last takes the rest,
+    # never one row alone unless there is only one; a stack of tables comes
+    # back in its own shape, each table's blocks those of tabulate, and
+    # within rounding of the whole product V @ C @ V.T
+    nodes = np.linspace(0.0, 1.0, size)
+    v = np.stack([np.ones_like(nodes), nodes, nodes * nodes], axis=1)
+    tables = CASE1._rows
+    blocks = list(tabulate_blocks(tables, nodes))
+    starts = [a for a, _, _ in blocks]
+    assert starts == list(range(0, len(blocks) * BLOCK_ROWS, BLOCK_ROWS))
+    assert [b for _, b, _ in blocks] == starts[1:] + [size]
+    assert size == 1 or all(b - a >= 2 for a, b, _ in blocks)
+    for a, b, values in blocks:
+        assert values.shape == (3, 2, b - a, size)
+    whole = np.concatenate([values for *_, values in blocks], axis=2)
+    for k, side in itertools.product(range(3), range(2)):
+        c = tables[k, side]
+        assert np.array_equal(whole[k, side], tabulate(c, nodes))
+        assert_allclose(whole[k, side], v @ c @ v.T, rtol=0,
+                        atol=1e-15 * np.abs(c).sum())
+
+
+@pytest.mark.parametrize("refinement", [1, 3, 10])
+def test_numeric_norms_match_whole_tables(refinement):
+    # the catalog kernels and 8 random ones: the blocked sums give the
+    # bits of the plain formula on whole tables and weights
+    for kernel in BLOCK_KERNELS:
+        assert (numeric_kernel_norms(kernel, refinement)
+                == _reference_numeric_norms(kernel, refinement))
+
+
+@pytest.mark.parametrize("n", [4, 23, 24, 25, 100, 401])
+def test_weight_matrix_matches_whole_tables(n):
+    grid = Grid(n)
+    w_low, w_up = _reference_split_weights(n)
+    for kernel, row in itertools.product(BLOCK_KERNELS[::3], ROWS):
+        low, up = kernel.tables(ROWS.index(row))
+        want = (w_low * tabulate(low, grid.nodes)
+                + w_up * tabulate(up, grid.nodes))
+        assert np.array_equal(kernel_row_matrix(kernel, row, grid), want)
+
+
+def test_numeric_norms_memory_is_bounded():
+    # the whole (n+1)^2 tables and weights peaked at 23 MiB at refinement
+    # 10; a block of node rows at a time, 2.4 MiB
+    kernel = BLOCK_KERNELS[-1]
+    tracemalloc.start()
+    try:
+        numeric_kernel_norms(kernel, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
