@@ -9,8 +9,7 @@ lines end with LF, and no timestamps or environment state leak in.  The solve
 report and the check verdict are JSON documents written from the fields of
 ``IterationReport`` and ``ConditionVerdict``, in declaration order.  The
 kernel dump reads ``quadrature.tabulate_blocks`` a block of node rows at a
-time, so it holds no (n+1)^2 column and equals ``quadrature.tabulate`` by
-construction.
+time, so it holds no (n+1)^2 column.
 """
 
 from __future__ import annotations
@@ -277,7 +276,7 @@ def _kernel_text(kernel, nodes):
     node rows at a time, so its memory does not grow as the square of the
     nodes."""
     yield "t,s,G,G1,G2\n"
-    for a, b, values in tabulate_blocks(kernel._rows, nodes):
+    for a, b, values in tabulate_blocks(kernel.tables(), nodes):
         rows = np.where(nodes <= nodes[a:b, None], values[:, 0], values[:, 1])
         yield from _csv_rows((np.repeat(nodes[a:b], nodes.size),
                               np.tile(nodes, b - a), *rows.reshape(3, -1)))

@@ -262,10 +262,11 @@ class GreenKernel:
     def sigma_g1(self):
         return self._sign_pair[1]
 
-    def tables(self, order=0):
+    def tables(self, order=None):
         """(lower, upper) tables of the order-th t-derivative, order 0, 1 or 2,
-        as one read-only (2, 3, 3) view of the kernel's row stack."""
-        return self._rows[order]
+        as one read-only (2, 3, 3) view of the kernel's row stack; with no
+        order, the whole read-only (3, 2, 3, 3) stack, on (order, side)."""
+        return self._rows if order is None else self._rows[order]
 
     def _select(self, order, t, s):
         low, up = self.tables(order)
@@ -419,12 +420,14 @@ def _pair_stack(rows):
     """Matrices whose product with [1, t, t^2] gives the s-coefficients of
     row k and of row k + 1 on both sides, in (coefficient, k | k + 1, k,
     side) order: (36, 3) for k = 0, 1, 2, the row after G_tt zero, and
-    (24, 3) for k = 0, 1."""
+    (24, 3) for k = 0, 1; and (12, 3) for rows 0 and 1 alone, without
+    their k + 1 partners."""
     pair = np.zeros((2, 3, 2, 3, 3))
     pair[0] = rows
     pair[1, :2] = rows[1:]
     pair = pair.transpose(4, 0, 1, 2, 3)
-    return pair.reshape(36, 3), pair[:, :, :2].reshape(24, 3)
+    return (pair.reshape(36, 3), pair[:, :, :2].reshape(24, 3),
+            pair[:, 0, :2].reshape(12, 3))
 
 
 def _row_pieces(stack, v, lo, hi):
@@ -481,9 +484,7 @@ def _signs(rows):
     whose pieces all stay within SIGN_TOL of 0 counts as +1.  Each piece
     keeps one sign, so signs are exact in s; SIGN_TOL bounds areas, not values.
     """
-    # rows 0 and 1 alone, in the (coefficient, k, side) order of the pairs
-    stack = np.transpose(rows[:2], (3, 0, 1, 2)).reshape(12, 3)
-    pieces = _row_pieces(stack, *_SIGN_POINTS)[:, 0]
+    pieces = _row_pieces(_pair_stack(rows)[2], *_SIGN_POINTS)[:, 0]
     return tuple(1 if np.all(p >= -SIGN_TOL) else -1 if np.all(p <= SIGN_TOL)
                  else 0 for p in (pieces[:, 0], pieces[:, 1]))
 
@@ -503,7 +504,7 @@ def _norms(rows):
     point.  M_k is the largest value read, so it cannot exceed the true max
     beyond rounding.
     """
-    every, first = _pair_stack(rows)
+    every, first, _ = _pair_stack(rows)
     n, d = _norm_slopes(first, *_BRACKET_POINTS)
     best = n.max(axis=1).tolist()
     # a peak lies in a cell where N_k' falls from positive to negative; at

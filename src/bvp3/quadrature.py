@@ -19,12 +19,11 @@ quadrature values of M0..M2, the reference for the exact norms of
 10, where the whole tables and weights took 23 MiB.
 
 Every grid rule of the package is here: the split weights, and
-``tabulate_blocks``, the values of a stack of tables at every pair of nodes
-as V @ C @ V.T, V = [1, x, x^2], a block of node rows at a time.
-``tabulate``, ``kernel_row_matrix``, ``numeric_kernel_norms`` and the
-kernel dump of ``bvp3 kernel`` all read its blocks, so the dump equals
-``tabulate`` by construction, and the weights are built for a block's rows
-only.
+``tabulate_blocks``, the one tabulation, the values of a stack of tables at
+every pair of nodes as V @ C @ V.T, V = [1, x, x^2], a block of node rows
+at a time.  ``kernel_row_matrix``, ``numeric_kernel_norms`` and the kernel
+dump of ``bvp3 kernel`` all read its blocks, and the weights are built for
+a block's rows only.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "apply_rows",
     "kernel_row_matrix",
     "numeric_kernel_norms",
-    "tabulate",
     "tabulate_blocks",
 ]
 
@@ -110,20 +108,14 @@ def tabulate_blocks(tables, nodes):
         yield a, b, left[..., a:b, :] @ v.T
 
 
-def tabulate(table, nodes):
-    """Matrix of table values at (t_i, s_j) for every pair of nodes, joined
-    from the blocks of ``tabulate_blocks``."""
-    return np.concatenate([vals for *_, vals in tabulate_blocks(table, nodes)])
-
-
-def _split_weights(n, a=0, b=None):
-    """Rows a to b (all by default) of the trapezoid weights, stacked as
-    (w_lower, w_upper), on the n-interval unit grid, split at the diagonal:
+def _split_weights(n, a, b):
+    """Rows a <= i < b of the trapezoid weights, stacked as (w_lower,
+    w_upper), on the n-interval unit grid, split at the diagonal:
     row i of w_lower integrates over [0, t_i] and row i of w_upper over
     [t_i, 1], so each side uses its own table and the jump in G_tt never
     straddles a subinterval.  w_upper is w_lower turned half a turn: its
     row i is row n - i of w_lower, reversed."""
-    rows = np.arange(a, n + 1 if b is None else b)
+    rows = np.arange(a, b)
     i, j = np.array([rows, n - rows])[..., None], np.arange(n + 1)
     # the upper side compares n - j with n - i, so it holds j >= i
     w = (np.array([j, n - j])[:, None] <= i) * (1.0 / n)
@@ -154,7 +146,7 @@ def numeric_kernel_norms(kernel: GreenKernel, refinement: int = 10):
         raise ValueError("refinement must be at least 1")
     grid = Grid(NORM_BASE_N * refinement)
     sums = []
-    for a, b, values in tabulate_blocks(kernel._rows, grid.nodes):
+    for a, b, values in tabulate_blocks(kernel.tables(), grid.nodes):
         np.abs(values, out=values)
         values *= _split_weights(grid.n, a, b)
         # each side's row sums, then lower plus upper

@@ -17,7 +17,7 @@ from bvp3 import conditions, greens, picard
 from bvp3.greens import (NORM_SCAN_N, SIGN_TOL, RankDeficientBC,
                          SingularBoundarySystem, _breaks, _norms, _primitive,
                          _signs, evaluate)
-from bvp3.quadrature import Grid, tabulate
+from bvp3.quadrature import Grid
 
 ALL_CASES = list(CaseId)
 ANALYTIC_NORMS = {
@@ -108,8 +108,9 @@ def _probe_sign(lower, upper, n=100):
     """Sign of one row from its values at every node pair of an n-interval
     grid, lower branch on s <= t: the grid rule the exact signs replaced."""
     nodes = np.linspace(0.0, 1.0, n + 1)
+    v = np.stack([np.ones_like(nodes), nodes, nodes * nodes], axis=1)
     vals = np.where(np.tri(n + 1, dtype=bool),
-                    tabulate(lower, nodes), tabulate(upper, nodes))
+                    v @ lower @ v.T, v @ upper @ v.T)
     if np.all(vals >= -SIGN_TOL):
         return 1
     if np.all(vals <= SIGN_TOL):
@@ -203,6 +204,10 @@ def test_catalog_tables_match_constructor(case):
         assert not kernel._row_stack.flags.writeable
         assert np.array_equal(kernel._row_stack, np.concatenate(
             [np.concatenate(kernel.tables(k), axis=1) for k in range(3)]))
+        # with no order, the whole stack on (order, side)
+        assert kernel.tables().shape == (3, 2, 3, 3)
+        assert all(np.array_equal(kernel.tables()[k], kernel.tables(k))
+                   for k in range(3))
 
 
 @pytest.mark.parametrize("case", ALL_CASES)
@@ -210,7 +215,8 @@ def test_catalog_kernel_is_built_once_and_shared(case):
     kernel = kernel_catalog(case)
     assert kernel_catalog(case) is kernel
     # shared safely: frozen, with every array read-only
-    for arr in (kernel.upper, kernel._row_stack, *kernel.tables(2)):
+    for arr in (kernel.upper, kernel._row_stack, *kernel.tables(2),
+                *kernel.tables()[0]):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0

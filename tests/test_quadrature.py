@@ -16,14 +16,14 @@ from bvp3 import (BoundaryConditions, CaseId, Grid, RankDeficientBC,
                   kernel_catalog, kernel_row_matrix, numeric_kernel_norms)
 from bvp3.greens import evaluate
 from bvp3.quadrature import (BLOCK_ROWS, NORM_BASE_N, _split_weights,
-                             tabulate, tabulate_blocks)
+                             tabulate_blocks)
 
 GRID = Grid(100)
 CASE1 = kernel_catalog(CaseId.CASE1)
 W_G = kernel_row_matrix(CASE1, "G", GRID)
 W_G2 = kernel_row_matrix(CASE1, "G2", GRID)
 # the last row of the lower split weights is the plain composite rule on [0, 1]
-W_FULL = _split_weights(GRID.n)[0][-1]
+W_FULL = _split_weights(GRID.n, 0, GRID.n + 1)[0][-1]
 
 
 def test_grid_basic():
@@ -272,6 +272,19 @@ def test_apply_rows_memory_per_node():
     assert peak <= 28 * 8 * (n + 1)
 
 
+# below this many nodes OpenBLAS forms V @ C @ V.T on one thread whatever
+# the thread count; above, it may split it over threads, which rounds
+# differently (two threads differ from one from 420 nodes on)
+ONE_THREAD_NODES = 419
+
+
+def _whole_table(table, nodes):
+    """A table's values at every pair of nodes as one product V @ C @ V.T,
+    V = [1, x, x^2]: the whole tabulation the blocks are held to."""
+    v = np.stack([np.ones_like(nodes), nodes, nodes * nodes], axis=1)
+    return v @ table @ v.T
+
+
 def _reference_split_weights(n):
     """The split weights as whole (n+1)^2 matrices, built the plain way:
     the reference the blocked weights are held to bit for bit."""
@@ -283,9 +296,9 @@ def _reference_split_weights(n):
     return w_low, w_low[::-1, ::-1]
 
 
-def _reference_numeric_norms(kernel, refinement):
-    """numeric_kernel_norms on whole tables: each side's weighted row sums
-    of |values| added, then the largest."""
+def _reference_numeric_norms(kernel, refinement, tabulate=_whole_table):
+    """numeric_kernel_norms on whole tables and weights: each side's
+    weighted row sums of |values| added, then the largest."""
     n = NORM_BASE_N * refinement
     nodes = Grid(n).nodes
     w_low, w_up = _reference_split_weights(n)
@@ -293,6 +306,12 @@ def _reference_numeric_norms(kernel, refinement):
         float(np.max(np.sum(w_low * np.abs(tabulate(low, nodes)), axis=1)
                      + np.sum(w_up * np.abs(tabulate(up, nodes)), axis=1)))
         for low, up in map(kernel.tables, range(3)))
+
+
+def _joined_blocks(table, nodes):
+    """A table's values at every pair of nodes, joined from the blocks of
+    ``tabulate_blocks``."""
+    return np.concatenate([vals for *_, vals in tabulate_blocks(table, nodes)])
 
 
 def _random_kernels(count, seed):
@@ -315,44 +334,48 @@ BLOCK_KERNELS = [*map(kernel_catalog, CaseId), *_random_kernels(8, 31)]
 def test_split_weights_rows_match_whole_matrices(n):
     # the full-row weights, and every block of rows, bit for bit
     ref = np.array(_reference_split_weights(n))
-    w = _split_weights(n)
+    w = _split_weights(n, 0, n + 1)
     assert w.shape == ref.shape
     assert np.array_equal(w.view(np.uint64), ref.view(np.uint64))
     for a, b in [(0, 1), (0, n + 1), (1, n), (n // 2, n + 1), (n, n + 1)]:
         assert np.array_equal(_split_weights(n, a, b), ref[:, a:b])
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 24, 25, 26, 47, 48, 49, 50, 401])
+@pytest.mark.parametrize("size", [1, 2, 3, 24, 25, 26, 47, 48, 49, 50,
+                                  101, 201, 301, 401, ONE_THREAD_NODES - 1])
 def test_tabulate_blocks_cover_the_rows(size):
     # blocks start at multiples of BLOCK_ROWS and the last takes the rest,
     # never one row alone unless there is only one; a stack of tables comes
-    # back in its own shape, each table's blocks those of tabulate, and
-    # within rounding of the whole product V @ C @ V.T
+    # back in its own shape, with the bits of each table's whole product
+    # V @ C @ V.T, of a catalog and of a constructed kernel
     nodes = np.linspace(0.0, 1.0, size)
-    v = np.stack([np.ones_like(nodes), nodes, nodes * nodes], axis=1)
-    tables = CASE1._rows
+    tables = np.concatenate([CASE1.tables(), BLOCK_KERNELS[-1].tables()])
     blocks = list(tabulate_blocks(tables, nodes))
     starts = [a for a, _, _ in blocks]
     assert starts == list(range(0, len(blocks) * BLOCK_ROWS, BLOCK_ROWS))
     assert [b for _, b, _ in blocks] == starts[1:] + [size]
     assert size == 1 or all(b - a >= 2 for a, b, _ in blocks)
     for a, b, values in blocks:
-        assert values.shape == (3, 2, b - a, size)
-    whole = np.concatenate([values for *_, values in blocks], axis=2)
-    for k, side in itertools.product(range(3), range(2)):
-        c = tables[k, side]
-        assert np.array_equal(whole[k, side], tabulate(c, nodes))
-        assert_allclose(whole[k, side], v @ c @ v.T, rtol=0,
-                        atol=1e-15 * np.abs(c).sum())
+        assert values.shape == (6, 2, b - a, size)
+    joined = np.concatenate([values for *_, values in blocks], axis=2)
+    for k, side in itertools.product(range(6), range(2)):
+        whole = _whole_table(tables[k, side], nodes)
+        assert np.array_equal(joined[k, side].view(np.uint64),
+                              whole.view(np.uint64))
 
 
 @pytest.mark.parametrize("refinement", [1, 3, 10])
 def test_numeric_norms_match_whole_tables(refinement):
     # the catalog kernels and 8 random ones: the blocked sums give the
-    # bits of the plain formula on whole tables and weights
+    # bits of the plain formula on whole tables and weights.  At 1001
+    # nodes the whole product may be split over BLAS threads, so there the
+    # tables are the joined blocks, which the test above holds to the whole
+    # product where it runs on one thread
+    one_thread = NORM_BASE_N * refinement < ONE_THREAD_NODES
+    tabulate = _whole_table if one_thread else _joined_blocks
     for kernel in BLOCK_KERNELS:
         assert (numeric_kernel_norms(kernel, refinement)
-                == _reference_numeric_norms(kernel, refinement))
+                == _reference_numeric_norms(kernel, refinement, tabulate))
 
 
 @pytest.mark.parametrize("n", [4, 23, 24, 25, 100, 401])
@@ -361,8 +384,8 @@ def test_weight_matrix_matches_whole_tables(n):
     w_low, w_up = _reference_split_weights(n)
     for kernel, row in itertools.product(BLOCK_KERNELS[::3], ROWS):
         low, up = kernel.tables(ROWS.index(row))
-        want = (w_low * tabulate(low, grid.nodes)
-                + w_up * tabulate(up, grid.nodes))
+        want = (w_low * _whole_table(low, grid.nodes)
+                + w_up * _whole_table(up, grid.nodes))
         assert np.array_equal(kernel_row_matrix(kernel, row, grid), want)
 
 
