@@ -78,6 +78,10 @@ COMMANDS = (
         ["kernel", "--case", "2", "--h", "0.002"],
         ["solve", "--problem", "bai-3.5", "--h", "0.0005"],
         ["solve", "--problem", "yao-feng-7", "--h", "0.0005"],
+        # the first grids past n = 8192, where the residual's u'' stencil
+        # strides: only the report's residual moves when the stride rule does
+        ["solve", "--problem", "dqa1", "--h", "0.0001"],
+        ["solve", "--problem", "dqa", "--h", "0.00001"],
         ["convergence", "--problem", "dqa1"],
         ["convergence", "--problem", "dqa", "--levels", "2", "--csv", "c.csv"],
         # sampled quotients with steps under the difference floor, and a

@@ -105,18 +105,19 @@ def _halton(samples):
 
     Each radical inverse adds its digits least significant first, each one
     scaled by repeated division by the base, which is the common unscrambled
-    construction; the tests pin the points by their SHA-256.
+    construction; the tests pin the points by their SHA-256.  The whole
+    array is allocated before any digit, so a count too large to hold
+    fails at once.
     """
-    rows = []
-    for b in (2, 3, 5, 7, 11):
+    pts = np.empty((5, samples))
+    for row, b in zip(pts, (2, 3, 5, 7, 11)):
         seq, step = np.zeros(1), 1.0 / b
         while seq.size < samples:
             # the last round takes only the leading digits it needs
             digits = np.arange(min(b, -(-samples // seq.size)))
             seq = (seq + (digits * step)[:, None]).ravel()
             step /= b
-        rows.append(seq[:samples])
-    pts = np.stack(rows)
+        row[:] = seq[:samples]
     pts.flags.writeable = False
     return pts
 

@@ -496,7 +496,8 @@ def _norms(rows):
     is the upper one, U, plus 1, so N_2' = |U(t) + 1| - |U(t)|, zero only
     where U = -1/2; M2 is N_2 at 0, 1 or those roots.  M0 and M1: N_k and
     N_k' on the bracket points; in every cell where N_k' falls from
-    positive to negative (an end cell going by its inner end), a Hermite
+    positive to negative, N_k' counted positive at t = 0 and negative at
+    t = 1 (so an end cell goes by its inner end), a Hermite
     step to the peak of the cubic through both ends, then up to
     SECANT_STEPS secant steps on N_k', the first from there toward the end
     of the other sign and the next through the last two points, each taken
@@ -509,17 +510,12 @@ def _norms(rows):
     best = n.max(axis=1).tolist()
     # a peak lies in a cell where N_k' falls from positive to negative; at
     # t = 0 or 1, N_k' reads 0 up to rounding where a boundary row makes
-    # row k + 1 vanish, so the end cells go by their inner end alone
-    ks, cells = np.nonzero((d[:, :-1] > 0.0) & (d[:, 1:] < 0.0))
-    brackets = list(zip(ks.tolist(), cells.tolist()))
-    last = len(_BRACKET_T) - 2
-    for k in (0, 1):
-        if d.item(k, 1) < 0.0 and not d.item(k, 0) > 0.0:
-            brackets.append((k, 0))
-        if d.item(k, last) > 0.0 and not d.item(k, last + 1) < 0.0:
-            brackets.append((k, last))
+    # row k + 1 vanish, so the end cells go by their inner end alone: N_k'
+    # counts as positive at t = 0 and as negative at t = 1
+    rises, falls = d[:, :-1] > 0.0, d[:, 1:] < 0.0
+    rises[:, 0] = falls[:, -1] = True
     t, peaks = _BRACKET_T, []
-    for k, i in brackets:
+    for k, i in np.transpose(np.nonzero(rises & falls)).tolist():
         x = _hermite_peak(t[i], t[i + 1], n.item(k, i), n.item(k, i + 1),
                           d.item(k, i), d.item(k, i + 1))
         if x is not None:

@@ -41,9 +41,6 @@ __all__ = [
 
 BOUND_SLACK = 1e-6
 DIVERGENCE_FACTOR = 10.0
-# smallest node spacing of the residual's third-difference stencil: its
-# roundoff grows like eps |u| / H^3 and its truncation error like H^2
-_STENCIL_SPACING = np.finfo(float).eps ** 0.2
 
 
 class Diverged(RuntimeError):
@@ -236,35 +233,51 @@ def solve(problem: ProblemSpec, grid: Grid, tol: float = 1e-6,
     return state, report
 
 
+def _stride(order, h):
+    """The smallest stride k whose spacing H = k h reaches eps^(1/(order + 2)):
+    a difference of that order loses about eps |u| / H^order to roundoff and
+    H^2 to truncation, which that spacing balances."""
+    return max(1, math.ceil(np.finfo(float).eps ** (1.0 / (order + 2)) / h))
+
+
+def _one_sided(u, h):
+    """u[0] and the one-sided second-order differences for u' and u'' there,
+    each on every k-th node of u, k the ``_stride`` of its order."""
+    k1, k2 = _stride(1, h), _stride(2, h)
+    a, b = u[::k1], u[::k2]
+    return (u[0], (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * (k1 * h)),
+            (2.0 * b[0] - 5.0 * b[1] + 4.0 * b[2] - b[3]) / (k2 * h) ** 2)
+
+
 def residual_parts(state: IterationState, problem: ProblemSpec, grid: Grid):
     """Interior equation residual and per-row boundary defects.
 
     The third derivative is approximated by the second-order central stencil
-    on interior nodes two steps from each end.  It runs on every k-th node,
-    with k the smallest stride whose spacing k h reaches eps^(1/5) (k = 1
-    up to n = 1351), so that at fine grids its roundoff does not swamp the
-    residual.  Boundary values of u' and u'' use one-sided second-order
-    stencils at spacing h.  Defects are those of the unit rows of ``rows``.
+    on interior nodes two steps from each end, and the boundary values of u'
+    and u'' by one-sided second-order stencils.  A difference of order d
+    runs on every k-th node, k the smallest stride whose spacing k h reaches
+    eps^(1/(d + 2)), so that at fine grids its roundoff does not swamp the
+    residual: k = 1 for u''' up to n = 1351, for u'' up to n = 8192 and for
+    u' up to n = 165140.  The right end is read from node n down, as a
+    stride need not divide n.  Defects are those of the unit rows of
+    ``rows``.
     """
     n, h = grid.n, grid.h
     if n < 4:
         raise GridTooCoarse("residual stencils need at least 4 subintervals")
     u = state.u
-    k = max(1, math.ceil(_STENCIL_SPACING / h))
+    k = _stride(3, h)
     us, hs = u[::k], k * h
     d3 = (us[4:] - 2.0 * us[3:-1] + 2.0 * us[1:-3] - us[:-4]) / (2.0 * hs ** 3)
     f_vals = _eval_f(problem.f, grid.nodes[::k], us, state.y[::k], state.z[::k])
     interior = float(np.max(np.abs(d3 - f_vals[2:-2])))
 
-    du_left = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
-    d2u_left = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / h ** 2
-    du_right = (3.0 * u[n] - 4.0 * u[n - 1] + u[n - 2]) / (2.0 * h)
-    d2u_right = (2.0 * u[n] - 5.0 * u[n - 1] + 4.0 * u[n - 2] - u[n - 3]) / h ** 2
-    end_vals = {0: (u[0], du_left, d2u_left), 1: (u[n], du_right, d2u_right)}
+    ends = _one_sided(u, h), _one_sided(u[::-1], h)
     defects = []
     for a, b, g, e in problem.boundary_conditions().rows():
-        v, dv, ddv = end_vals[e]
-        defects.append(abs(a * v + b * dv + g * ddv))
+        v, dv, ddv = ends[e]
+        # read from node n down, the right end's u' is -dv
+        defects.append(abs(a * v + (-b if e else b) * dv + g * ddv))
     return interior, np.asarray(defects)
 
 

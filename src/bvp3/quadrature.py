@@ -12,18 +12,18 @@ G1 and G2 together in O(n).  The node powers [1, x, x^2] are built once per
 grid and the stack once per kernel, both read-only, and the moments are
 written in place in the order of the plain formula, so the fields are those
 of a fresh evaluation bit for bit.  ``kernel_row_matrix`` writes the rule
-out as a dense (n+1)^2 weight matrix, the reference the tests hold
-``apply_rows`` to; ``numeric_kernel_norms`` reads the same weights for
-quadrature values of M0..M2, the reference for the exact norms of
-``greens``, and holds no (n+1)^2 array: 2.4 MiB at its peak at refinement
-10, where the whole tables and weights took 23 MiB.
+out as a dense (n+1)^2 weight matrix of the row of a t-derivative order, the
+reference the tests hold ``apply_rows`` to; ``numeric_kernel_norms`` reads
+the same weights for quadrature values of M0..M2, the reference for the
+exact norms of ``greens``, and holds no (n+1)^2 array: 2.4 MiB at its peak
+at refinement 10, where the whole tables and weights took 23 MiB.
 
 Every grid rule of the package is here: the split weights, and
 ``tabulate_blocks``, the one tabulation, the values of a stack of tables at
 every pair of nodes as V @ C @ V.T, V = [1, x, x^2], a block of node rows
-at a time.  ``kernel_row_matrix``, ``numeric_kernel_norms`` and the kernel
-dump of ``bvp3 kernel`` all read its blocks, and the weights are built for
-a block's rows only.
+at a time.  The kernel dump of ``bvp3 kernel`` reads its blocks, and both
+dense references read them weighted, each side of a block times its split
+weights, built for the block's rows only, in one place.
 """
 
 from __future__ import annotations
@@ -125,33 +125,37 @@ def _split_weights(n, a, b):
     return w
 
 
-_ROW_KEYS = ("G", "G1", "G2")
+def _weighted_blocks(tables, grid):
+    """The blocks of ``tabulate_blocks`` for tables, a (..., 2, 3, 3) stack
+    on (..., side), each side weighted in place by its split weights."""
+    for a, b, values in tabulate_blocks(tables, grid.nodes):
+        values *= _split_weights(grid.n, a, b)
+        yield values
 
 
-def kernel_row_matrix(kernel: GreenKernel, row: str, grid: Grid) -> np.ndarray:
-    """Quadrature weight matrix W of a kernel row ("G", "G1" or "G2"):
-    (W @ phi)[i] integrates K(t_i, s) phi(s) over [0, 1], split at t_i."""
-    if row not in _ROW_KEYS:
-        raise ValueError("row must be one of %r" % (_ROW_KEYS,))
-    blocks = tabulate_blocks(kernel.tables(_ROW_KEYS.index(row)), grid.nodes)
-    return np.concatenate([np.sum(_split_weights(grid.n, a, b) * values, 0)
-                           for a, b, values in blocks])
+def kernel_row_matrix(kernel: GreenKernel, order: int, grid: Grid) -> np.ndarray:
+    """Quadrature weight matrix W of the kernel row of t-derivative order 0,
+    1 or 2 (G, G_t or G_tt): (W @ phi)[i] integrates K(t_i, s) phi(s) over
+    [0, 1], split at t_i."""
+    if order not in (0, 1, 2):
+        raise ValueError("order must be 0, 1 or 2")
+    return np.concatenate([values.sum(axis=0) for values in
+                           _weighted_blocks(kernel.tables(order), grid)])
 
 
 def numeric_kernel_norms(kernel: GreenKernel, refinement: int = 10):
     """Quadrature values of (M0, M1, M2) on a grid refined by ``refinement``:
-    the largest row sum of w_lower * |lower| + w_upper * |upper|, each side
-    summed on its own, a block of node rows at a time."""
+    the largest row sum of |w_lower * lower| + |w_upper * upper|, each side
+    summed on its own, a block of node rows at a time; the weights are not
+    negative, so |w * v| = w * |v| bit for bit."""
     if refinement < 1:
         raise ValueError("refinement must be at least 1")
     grid = Grid(NORM_BASE_N * refinement)
-    sums = []
-    for a, b, values in tabulate_blocks(kernel.tables(), grid.nodes):
-        np.abs(values, out=values)
-        values *= _split_weights(grid.n, a, b)
-        # each side's row sums, then lower plus upper
-        sums.append(values.sum(axis=-1).sum(axis=1))
-    return tuple(np.concatenate(sums, axis=1).max(axis=1).tolist())
+    # each side's row sums, then lower plus upper; map, unlike a loop
+    # variable, lets a block go once its sums are taken
+    sums = map(lambda values: np.abs(values, out=values).sum(-1).sum(1),
+               _weighted_blocks(kernel.tables(), grid))
+    return tuple(np.concatenate(list(sums), axis=1).max(axis=1).tolist())
 
 
 def apply_rows(kernel: GreenKernel, grid: Grid, phi):

@@ -55,6 +55,33 @@ def test_halton_points_read_only():
         pts[0, 0] = 1.0
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the peak RSS from /proc")
+def test_halton_count_too_large_fails_before_filling_memory():
+    # the whole (5, samples) array is the first allocation, so an absurd
+    # count is refused before any digit; the child runs under a 2 GiB
+    # address-space limit, so even code that grew the rows first could not
+    # take the machine's memory, and prints its own peak RSS (KiB): VmHWM,
+    # as getrusage's ru_maxrss keeps the forking test process's peak
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from bvp3.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "finally:\n"
+        "    print(*[line.split()[1] for line in open('/proc/self/status')\n"
+        "            if line.startswith('VmHWM:')])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(bvp3.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    args = ["check", "--problem", "dqa1", "--samples", str(10 ** 20)]
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 1
+    assert out.stderr == "Error: dqa1: Maximum allowed dimension exceeded\n"
+    assert int(out.stdout) < 200 * 1024
+
+
 def test_verdicts_draw_points_once():
     entry = get_problem("bai-3.5")
     kernel = kernel_for(entry.problem)

@@ -752,7 +752,7 @@ def test_signs_integrate_the_value_rows_alone(monkeypatch):
     assert stacks == [(12, 3)] * 2
 
 
-@pytest.mark.parametrize("coef", [
+END_CELL_ROWS = [
     # u'(1) = 0 among the rows, so N_0' reads 0 at t = 1 (7.6e-17 here)
     (0.008747026214221892, 0.00611883196578572, -1.0550546628513604, 0.0,
      0.1322250600051318, 0.0, -3.725864804395675, 0.0, 0.045911350663329596),
@@ -760,7 +760,11 @@ def test_signs_integrate_the_value_rows_alone(monkeypatch):
     (0.0018086417504546372, -121.3387064289266, 0.0015174193272741731,
      0.0011977597309616366, -0.3176570106767845, -0.05914095521348758,
      7.345869756581682, 0.004069023187943718, -0.17998642092746067),
-], ids=["zero-slope-end", "two-sign-changes"])
+]
+END_CELL_IDS = ["zero-slope-end", "two-sign-changes"]
+
+
+@pytest.mark.parametrize("coef", END_CELL_ROWS, ids=END_CELL_IDS)
 def test_peak_in_an_end_cell(coef):
     # N_0 peaks inside the last cell, with no sign change of N_0' across it:
     # the end cells count on their inner end alone, so the peak is read
@@ -769,6 +773,26 @@ def test_peak_in_an_end_cell(coef):
     n, d = greens._norm_slopes(greens._pair_stack(k._rows)[1],
                                *greens._BRACKET_POINTS)
     assert d[0, -1] >= 0.0 and n[0].max() < k.m0 * (1.0 - 1e-9)
+    assert k.m0 == pytest.approx(_reference_signs_and_norms(rows)[1][0],
+                                 rel=NORM_TOL, abs=0)
+
+
+
+@pytest.mark.parametrize("coef", END_CELL_ROWS, ids=END_CELL_IDS)
+def test_peak_in_the_first_cell(coef):
+    # the mirror t -> 1 - t of the rows above: endpoints swapped and each
+    # u' coefficient negated, so N_0 peaks inside the first cell, with N_0'
+    # not positive at t = 0, and the peak is read all the same
+    mirror = [-c if j % 3 == 1 else c for j, c in enumerate(coef)]
+    k = build_general_kernel(BoundaryConditions(*mirror, endpoints=(0, 0, 1)))
+    rows = [k.tables(order) for order in range(3)]
+    n, d = greens._norm_slopes(greens._pair_stack(k._rows)[1],
+                               *greens._BRACKET_POINTS)
+    assert d[0, 0] <= 0.0 and n[0].argmax() == 0
+    assert n[0].max() < k.m0 * (1.0 - 1e-9)
+    unmirrored = build_general_kernel(
+        BoundaryConditions(*coef, endpoints=(1, 1, 0)))
+    assert k.m0 == pytest.approx(unmirrored.m0, rel=2e-15, abs=0)
     assert k.m0 == pytest.approx(_reference_signs_and_norms(rows)[1][0],
                                  rel=NORM_TOL, abs=0)
 

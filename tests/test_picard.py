@@ -113,7 +113,7 @@ def test_state_consistent_with_phi(solved):
     _, state, _ = solved["dqa"]
     from bvp3 import kernel_catalog, kernel_row_matrix
     k = kernel_catalog(CaseId.CASE3)
-    assert_allclose(kernel_row_matrix(k, "G", GRID) @ state.phi, state.u,
+    assert_allclose(kernel_row_matrix(k, 0, GRID) @ state.phi, state.u,
                     rtol=0, atol=1e-14)
 
 
@@ -252,6 +252,51 @@ def test_strided_residual_at_fine_grids(name, n):
     interior, defects = residual_parts(state, problem, grid)
     assert interior == pytest.approx(STRIDED_RESIDUAL[name, n], rel=0.05)
     assert np.max(defects) <= 1e-5
+
+
+def _plain_defects(state, problem, grid):
+    """The boundary defects with the one-sided stencils at spacing h."""
+    u, n, h = state.u, grid.n, grid.h
+    du_left = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
+    d2u_left = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / h ** 2
+    du_right = (3.0 * u[n] - 4.0 * u[n - 1] + u[n - 2]) / (2.0 * h)
+    d2u_right = (2.0 * u[n] - 5.0 * u[n - 1] + 4.0 * u[n - 2] - u[n - 3]) / h ** 2
+    ends = {0: (u[0], du_left, d2u_left), 1: (u[n], du_right, d2u_right)}
+    return np.array([abs(a * ends[e][0] + b * ends[e][1] + g * ends[e][2])
+                     for a, b, g, e in problem.boundary_conditions().rows()])
+
+
+# u(0) = u'(0) = 0 and u(1) + u'(1) + u''(1) = 0: a right-end row that mixes
+# u' with u and u'', so the sign of the right end's u' shows in its defect
+MIXED_RIGHT_END = ProblemSpec(f=lambda t, x, y, z: 1.0 + 0.1 * x,
+                              bc=BoundaryConditions(1, 0, 0, 0, 1, 0, 1, 1, 1))
+
+
+@pytest.mark.parametrize("problem", [
+    *(get_problem(name).problem for name in ("dqa1", "dqa", "bai-3.5")),
+    MIXED_RIGHT_END], ids=["dqa1", "dqa", "bai-3.5", "mixed-right-end"])
+def test_defect_stencils_keep_spacing_h_up_to_n_8192(problem):
+    # u'' strides from n = 8193 on, u' from n = 165141; up to n = 8192 the
+    # defects are those of the spacing-h stencils bit for bit
+    for n in (100, 8192):
+        grid = Grid(n)
+        state, _ = solve(problem, grid)
+        _, defects = residual_parts(state, problem, grid)
+        assert np.array_equal(defects.view(np.uint64),
+                              _plain_defects(state, problem, grid)
+                              .view(np.uint64))
+
+
+@pytest.mark.parametrize("name", ["dqa1", "dqa"])
+def test_strided_defects_at_n_1e5(name):
+    # both exact solutions are cubics, so the true defects are 0; the
+    # spacing-h stencils read 4.4e-6 (dqa1) and 6.7e-6 (dqa) here, their
+    # roundoff growing like eps |u| / h^2, the strided ones 3.9e-8 and 8.5e-8
+    problem = get_problem(name).problem
+    grid = Grid(10 ** 5)
+    state, _ = solve(problem, grid, tol=1e-12)
+    _, defects = residual_parts(state, problem, grid)
+    assert np.max(defects) <= 1e-6
 
 
 def test_solve_memory_is_linear():

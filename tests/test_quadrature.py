@@ -20,8 +20,8 @@ from bvp3.quadrature import (BLOCK_ROWS, NORM_BASE_N, _split_weights,
 
 GRID = Grid(100)
 CASE1 = kernel_catalog(CaseId.CASE1)
-W_G = kernel_row_matrix(CASE1, "G", GRID)
-W_G2 = kernel_row_matrix(CASE1, "G2", GRID)
+W_G = kernel_row_matrix(CASE1, 0, GRID)
+W_G2 = kernel_row_matrix(CASE1, 2, GRID)
 # the last row of the lower split weights is the plain composite rule on [0, 1]
 W_FULL = _split_weights(GRID.n, 0, GRID.n + 1)[0][-1]
 
@@ -107,8 +107,9 @@ def test_g2_row_exact_for_unit_phi():
 
 
 def test_row_argument_validation():
-    with pytest.raises(ValueError, match="row must be one of"):
-        kernel_row_matrix(CASE1, "G3", GRID)
+    for order in (3, -1):
+        with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
+            kernel_row_matrix(CASE1, order, GRID)
 
 
 def _split_trapezoid(kernel, row, phi, grid):
@@ -136,8 +137,9 @@ def test_matrix_agrees_with_row_integrals():
     # upper weights would show
     for grid in (GRID, Grid(7)):
         phi = rng.standard_normal(grid.n + 1)
-        for kernel, row in itertools.product(kernels, ("G", "G1", "G2")):
-            w = kernel_row_matrix(kernel, row, grid)
+        for kernel, (order, row) in itertools.product(
+                kernels, enumerate(("G", "G1", "G2"))):
+            w = kernel_row_matrix(kernel, order, grid)
             direct = _split_trapezoid(kernel, row, phi, grid)
             assert_allclose(w @ phi, direct, rtol=1e-12, atol=1e-13)
 
@@ -149,8 +151,8 @@ def test_constant_sign_norms_match_weight_rows(case):
     kernel = kernel_catalog(case)
     norms = numeric_kernel_norms(kernel)
     ones = np.ones(1001)
-    for order, row in enumerate(("G", "G1")):
-        w = kernel_row_matrix(kernel, row, Grid(1000))
+    for order in (0, 1):
+        w = kernel_row_matrix(kernel, order, Grid(1000))
         assert abs(norms[order] - np.max(np.abs(w @ ones))) <= 1e-14
 
 
@@ -160,13 +162,12 @@ def test_order_of_accuracy_smooth_source():
     errs = []
     for n in (50, 100, 200):
         g = Grid(n)
-        val = kernel_row_matrix(CASE1, "G", g)[n // 2] @ np.exp(g.nodes)
+        val = kernel_row_matrix(CASE1, 0, g)[n // 2] @ np.exp(g.nodes)
         errs.append(abs(val - exact))
     for coarse, fine in zip(errs, errs[1:]):
         assert 3.6 <= coarse / fine <= 4.4
 
 
-ROWS = ("G", "G1", "G2")
 ENDPOINTS = list(itertools.product((0, 1), repeat=3))
 # over 600 random kernels and grids, |apply_rows - dense| was at most 9.8e-17
 # times max|phi| * (sum|lower| + sum|upper|) of the row's tables
@@ -201,7 +202,7 @@ def test_apply_rows_matches_dense(case, coeffs, endpoints, n, seed, scale):
         low, up = kernel.tables(order)
         atol = (APPLY_TOL * np.max(np.abs(phi))
                 * (np.sum(np.abs(low)) + np.sum(np.abs(up))))
-        dense = kernel_row_matrix(kernel, ROWS[order], grid) @ phi
+        dense = kernel_row_matrix(kernel, order, grid) @ phi
         assert_allclose(field, dense, rtol=0, atol=atol)
 
 
@@ -382,11 +383,11 @@ def test_numeric_norms_match_whole_tables(refinement):
 def test_weight_matrix_matches_whole_tables(n):
     grid = Grid(n)
     w_low, w_up = _reference_split_weights(n)
-    for kernel, row in itertools.product(BLOCK_KERNELS[::3], ROWS):
-        low, up = kernel.tables(ROWS.index(row))
+    for kernel, order in itertools.product(BLOCK_KERNELS[::3], range(3)):
+        low, up = kernel.tables(order)
         want = (w_low * _whole_table(low, grid.nodes)
                 + w_up * _whole_table(up, grid.nodes))
-        assert np.array_equal(kernel_row_matrix(kernel, row, grid), want)
+        assert np.array_equal(kernel_row_matrix(kernel, order, grid), want)
 
 
 def test_numeric_norms_memory_is_bounded():
