@@ -13,6 +13,7 @@ matrix.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,16 +238,7 @@ def _stride(order, h):
     """The smallest stride k whose spacing H = k h reaches eps^(1/(order + 2)):
     a difference of that order loses about eps |u| / H^order to roundoff and
     H^2 to truncation, which that spacing balances."""
-    return max(1, math.ceil(np.finfo(float).eps ** (1.0 / (order + 2)) / h))
-
-
-def _one_sided(u, h):
-    """u[0] and the one-sided second-order differences for u' and u'' there,
-    each on every k-th node of u, k the ``_stride`` of its order."""
-    k1, k2 = _stride(1, h), _stride(2, h)
-    a, b = u[::k1], u[::k2]
-    return (u[0], (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * (k1 * h)),
-            (2.0 * b[0] - 5.0 * b[1] + 4.0 * b[2] - b[3]) / (k2 * h) ** 2)
+    return max(1, math.ceil(sys.float_info.epsilon ** (1.0 / (order + 2)) / h))
 
 
 def residual_parts(state: IterationState, problem: ProblemSpec, grid: Grid):
@@ -272,7 +264,11 @@ def residual_parts(state: IterationState, problem: ProblemSpec, grid: Grid):
     f_vals = _eval_f(problem.f, grid.nodes[::k], us, state.y[::k], state.z[::k])
     interior = float(np.max(np.abs(d3 - f_vals[2:-2])))
 
-    ends = _one_sided(u, h), _one_sided(u[::-1], h)
+    # u, u' and u'' at each end by one-sided stencils into the grid
+    k1, k2 = _stride(1, h), _stride(2, h)
+    ends = [(v[0], (-3.0 * v[0] + 4.0 * v[k1] - v[2 * k1]) / (2.0 * (k1 * h)),
+             (2.0 * v[0] - 5.0 * v[k2] + 4.0 * v[2 * k2] - v[3 * k2])
+             / (k2 * h) ** 2) for v in (u, u[::-1])]
     defects = []
     for a, b, g, e in problem.boundary_conditions().rows():
         v, dv, ddv = ends[e]

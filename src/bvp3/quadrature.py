@@ -140,7 +140,7 @@ def kernel_row_matrix(kernel: GreenKernel, order: int, grid: Grid) -> np.ndarray
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     return np.concatenate([values.sum(axis=0) for values in
-                           _weighted_blocks(kernel.tables(order), grid)])
+                           _weighted_blocks(kernel.tables(int(order)), grid)])
 
 
 def numeric_kernel_norms(kernel: GreenKernel, refinement: int = 10):

@@ -110,6 +110,9 @@ def test_row_argument_validation():
     for order in (3, -1):
         with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
             kernel_row_matrix(CASE1, order, GRID)
+    # True equals 1, and picks that row rather than acting as a numpy mask
+    assert np.array_equal(kernel_row_matrix(CASE1, True, GRID),
+                          kernel_row_matrix(CASE1, 1, GRID))
 
 
 def _split_trapezoid(kernel, row, phi, grid):
