@@ -112,6 +112,10 @@ COMMANDS = (
         ["convergence", "--problem", "dqa1", "--h0", "0.3"],
         ["convergence", "--problem", "dqa1", "--levels", "0"],
         ["convergence", "--problem", "nope"],
+        # grids too large to build: one Error: line, nothing allocated
+        ["kernel", "--case", "1", "--h", "1e-20"],
+        ["kernel", "--bc-file", "bc.json", "--h", "1e-20"],
+        ["solve", "--problem", "dqa1", "--h", "1e-20"],
         # a report that cannot be written leaves no solution CSV behind
         ["solve", "--problem", "dqa1", "--json", "missing/r.json"],
         # a table that cannot be written is not printed either

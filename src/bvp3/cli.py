@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 1 for domain failures (unknown problem, divergence,
 singular boundary systems, missing exact solution), for a grid or sample
 count too large to allocate, and for output or boundary-condition files that
-cannot be written or read, 2 for usage errors.
+cannot be written or read, 2 for usage errors.  An exit-1 failure prints one
+``Error:`` line, and a write that fails removes its file, so no partial
+file is left.
 All file output is deterministic: floats print with 17 significant digits,
 lines end with LF, and no timestamps or environment state leak in.  The solve
 report and the check verdict are JSON documents written from the fields of
@@ -85,9 +87,16 @@ def _resolved_problem(name, m_override):
 
 
 def _write_text(path, pieces):
-    """Write the text pieces to path, one after another."""
-    with _failing(), open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(pieces)
+    """Write the text pieces to path, one after another; a write that fails
+    once the file is open removes it, so no partial file is left."""
+    with _failing():
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+        try:
+            with fh:
+                fh.writelines(pieces)
+        except BaseException:
+            os.remove(path)
+            raise
 
 
 def _csv_text(header, columns):
@@ -259,14 +268,14 @@ def cmd_kernel(case_num, bc_file, h, csv_path):
     if (case_num is None) == (bc_file is None):
         raise click.UsageError("give exactly one of --case or --bc-file")
     with _failing():
-        grid = Grid.from_h(h)
+        nodes = Grid.from_h(h).nodes
         if case_num is not None:
             kernel = kernel_catalog(CaseId(case_num))
             csv_path = csv_path or "kernel_case%d.csv" % case_num
         else:
             kernel = build_general_kernel(_bc_from_file(bc_file))
             csv_path = csv_path or "kernel_custom.csv"
-    _write_text(csv_path, _kernel_text(kernel, grid.nodes))
+    _write_text(csv_path, _kernel_text(kernel, nodes))
     click.echo("wrote %s" % csv_path)
 
 

@@ -15,7 +15,10 @@ catalog ones included, comes from one 3x3 solve on the unit rows of
 ``BoundaryConditions.rows``, and one condition test accepts and names.  The
 tables of G, G_t and G_tt are derived once per kernel as one read-only stack,
 so a kernel can be shared: each catalog kernel is built once, on first use.
-``evaluate`` is the one pointwise evaluator; grid code lives in ``quadrature``.
+``GreenKernel.tables(order)`` is the one checked reader of a row's tables,
+and ``GreenKernel._at`` the one pointwise evaluator of a row, behind the nine
+names ``g``, ``g1``, ``g2`` and ``g_lower`` ... ``g2_upper``; it reads each
+table through ``evaluate``.  Grid code lives in ``quadrature``.
 
 Signs and norms are a function of the table: a catalog table, bit for bit,
 carries its closed forms, and any other is read off its row tables.  At
@@ -48,7 +51,7 @@ import numbers
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache, cached_property, partialmethod
 
 import numpy as np
 
@@ -263,44 +266,36 @@ class GreenKernel:
         return self._sign_pair[1]
 
     def tables(self, order=None):
-        """(lower, upper) tables of the order-th t-derivative, order 0, 1 or 2,
-        as one read-only (2, 3, 3) view of the kernel's row stack; with no
-        order, the whole read-only (3, 2, 3, 3) stack, on (order, side)."""
-        return self._rows if order is None else self._rows[order]
+        """(lower, upper) tables of the order-th t-derivative as one read-only
+        (2, 3, 3) view of the kernel's row stack; with no order, the whole
+        read-only (3, 2, 3, 3) stack, on (order, side).  The one reader of an
+        order: 0, 1 or 2, a bool or numpy integer read as its int, and any
+        other order raises ``ValueError``."""
+        if order is not None and order not in (0, 1, 2):
+            raise ValueError("order must be 0, 1 or 2")
+        return self._rows if order is None else self._rows[int(order)]
 
-    def _select(self, order, t, s):
+    def _at(self, order, side, t, s):
+        """Row order of the kernel at (t, s), broadcast: with side 0 or 1 that
+        table over the whole square, with side None the lower one on s <= t
+        and the upper one elsewhere; a plain float for scalar input."""
         low, up = self.tables(order)
+        if side is not None:
+            return evaluate((low, up)[side], t, s)
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
         out = np.where(s <= t, evaluate(low, t, s), evaluate(up, t, s))
         return out if out.ndim else float(out)
 
-    def g(self, t, s):
-        return self._select(0, t, s)
-
-    def g1(self, t, s):
-        return self._select(1, t, s)
-
-    def g2(self, t, s):
-        return self._select(2, t, s)
-
-    def g_lower(self, t, s):
-        return evaluate(self.tables(0)[0], t, s)
-
-    def g_upper(self, t, s):
-        return evaluate(self.tables(0)[1], t, s)
-
-    def g1_lower(self, t, s):
-        return evaluate(self.tables(1)[0], t, s)
-
-    def g1_upper(self, t, s):
-        return evaluate(self.tables(1)[1], t, s)
-
-    def g2_lower(self, t, s):
-        return evaluate(self.tables(2)[0], t, s)
-
-    def g2_upper(self, t, s):
-        return evaluate(self.tables(2)[1], t, s)
+    g = partialmethod(_at, 0, None)
+    g1 = partialmethod(_at, 1, None)
+    g2 = partialmethod(_at, 2, None)
+    g_lower = partialmethod(_at, 0, 0)
+    g_upper = partialmethod(_at, 0, 1)
+    g1_lower = partialmethod(_at, 1, 0)
+    g1_upper = partialmethod(_at, 1, 1)
+    g2_lower = partialmethod(_at, 2, 0)
+    g2_upper = partialmethod(_at, 2, 1)
 
     def norms(self):
         return (self.m0, self.m1, self.m2)

@@ -136,11 +136,9 @@ def _weighted_blocks(tables, grid):
 def kernel_row_matrix(kernel: GreenKernel, order: int, grid: Grid) -> np.ndarray:
     """Quadrature weight matrix W of the kernel row of t-derivative order 0,
     1 or 2 (G, G_t or G_tt): (W @ phi)[i] integrates K(t_i, s) phi(s) over
-    [0, 1], split at t_i."""
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
+    [0, 1], split at t_i; ``GreenKernel.tables`` checks the order."""
     return np.concatenate([values.sum(axis=0) for values in
-                           _weighted_blocks(kernel.tables(int(order)), grid)])
+                           _weighted_blocks(kernel.tables(order), grid)])
 
 
 def numeric_kernel_norms(kernel: GreenKernel, refinement: int = 10):

@@ -497,14 +497,18 @@ def test_every_domain_failure_exits_1(runner, tmp_path, monkeypatch, target,
 REFUSED = "Unable to allocate 745. GiB for an array"
 
 
-@pytest.mark.parametrize("target, args", [
-    ("numpy.linspace", ["solve", "--problem", "dqa", "--h", "1e-11"]),
-    ("numpy.linspace", ["convergence", "--problem", "dqa", "--h0", "1e-11"]),
+@pytest.mark.parametrize("target, args, lead", [
+    ("numpy.linspace", ["solve", "--problem", "dqa", "--h", "1e-11"],
+     "dqa: "),
+    ("numpy.linspace", ["convergence", "--problem", "dqa", "--h0", "1e-11"],
+     "dqa: "),
     ("bvp3.conditions._halton",
-     ["check", "--problem", "dqa", "--samples", str(10 ** 20)]),
-], ids=["solve", "convergence", "check"])
+     ["check", "--problem", "dqa", "--samples", str(10 ** 20)], "dqa: "),
+    ("numpy.linspace", ["kernel", "--case", "1", "--h", "1e-11"], ""),
+], ids=["solve", "convergence", "check", "kernel"])
 def test_allocation_failure_ends_with_clean_error(runner, tmp_path,
-                                                  monkeypatch, target, args):
+                                                  monkeypatch, target, args,
+                                                  lead):
     # the grid nodes and the Halton points are the first arrays of these
     # sizes; each is refused here, as numpy refuses a request beyond the
     # address space, so the test never asks for the memory
@@ -519,8 +523,25 @@ def test_allocation_failure_ends_with_clean_error(runner, tmp_path,
     monkeypatch.setattr(target, refused)
     with runner.isolated_filesystem(temp_dir=tmp_path):
         res = runner.invoke(main, args)
+        assert list(Path.cwd().iterdir()) == []
     assert res.exit_code == 1
-    assert res.output == "Error: dqa: %s\n" % REFUSED
+    assert res.output == "Error: %s%s\n" % (lead, REFUSED)
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def test_failed_write_leaves_no_partial_file(runner, tmp_path, monkeypatch):
+    # the dump's header is written before its first block is tabulated;
+    # a failure there removes the file the write opened
+    def refused(tables, nodes):
+        raise MemoryError(REFUSED)
+        yield
+
+    monkeypatch.setattr("bvp3.cli.tabulate_blocks", refused)
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        res = runner.invoke(main, ["kernel", "--case", "1", "--h", "0.05"])
+        assert list(Path.cwd().iterdir()) == []
+    assert res.exit_code == 1
+    assert res.output == "Error: %s\n" % REFUSED
     assert res.exception is None or isinstance(res.exception, SystemExit)
 
 

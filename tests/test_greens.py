@@ -224,6 +224,43 @@ def test_catalog_kernel_is_built_once_and_shared(case):
         kernel.m0 = 0.0
 
 
+@pytest.mark.parametrize("kernel", [
+    kernel_catalog(CaseId.CASE1),
+    build_general_kernel(BoundaryConditions(1, 0, 0, 0, 1, 0, 1, 0, 0))],
+    ids=["catalog", "constructed"])
+def test_tables_is_the_one_checked_reader(kernel):
+    # an order outside 0-2 reaches no table, whatever its type
+    for order in (-1, 3, "1"):
+        with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
+            kernel.tables(order)
+    # a bool or a numpy integer is read as its int, not as a mask or index
+    for order in (True, np.int64(1)):
+        assert kernel.tables(order).shape == (2, 3, 3)
+        assert np.array_equal(kernel.tables(order), kernel.tables(1))
+    whole = kernel.tables()
+    assert whole.shape == (3, 2, 3, 3)
+    assert np.array_equal(whole, [kernel.tables(k) for k in range(3)])
+
+
+def test_pointwise_rows_read_their_tables():
+    # g, g1, g2 take the lower table on s <= t and the upper one elsewhere,
+    # the one-sided names their own table on the whole square; scalars give
+    # plain floats
+    kernel = build_general_kernel(BoundaryConditions(1, 0, 0, 0, 1, 0, 1, 0, 0))
+    t, s = np.meshgrid(PROBE_S, PROBE_S, indexing="ij")
+    for order, row in enumerate(("g", "g1", "g2")):
+        low, up = kernel.tables(order)
+        assert np.array_equal(getattr(kernel, row)(t, s),
+                              np.where(s <= t, evaluate(low, t, s),
+                                       evaluate(up, t, s)))
+        for side, table in (("lower", low), ("upper", up)):
+            assert np.array_equal(getattr(kernel, row + "_" + side)(t, s),
+                                  evaluate(table, t, s))
+        for name in (row, row + "_lower", row + "_upper"):
+            assert type(getattr(kernel, name)(0.5, 0.5)) is float
+        assert getattr(kernel, row)(0.5, 0.5) == evaluate(low, 0.5, 0.5)
+
+
 def test_general_constructor_hand_oracle():
     # u(0) = u'(0) = u(1) = 0 gives the upper branch -(1-s)^2 t^2 / 2
     bc = BoundaryConditions(1, 0, 0, 0, 1, 0, 1, 0, 0)

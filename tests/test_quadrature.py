@@ -4,13 +4,18 @@ whole tables and weights."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import bvp3
 from bvp3 import (BoundaryConditions, CaseId, Grid, RankDeficientBC,
                   SingularBoundarySystem, apply_rows, build_general_kernel,
                   kernel_catalog, kernel_row_matrix, numeric_kernel_norms)
@@ -366,6 +371,37 @@ def test_tabulate_blocks_cover_the_rows(size):
         whole = _whole_table(tables[k, side], nodes)
         assert np.array_equal(joined[k, side].view(np.uint64),
                               whole.view(np.uint64))
+
+
+# the blocks of a catalog and of a constructed kernel at grids past
+# ONE_THREAD_NODES, hashed in order, one SHA-256 per kernel and grid
+HASH_BLOCKS = """\
+import hashlib
+from bvp3 import (BoundaryConditions, CaseId, Grid, build_general_kernel,
+                  kernel_catalog)
+from bvp3.quadrature import tabulate_blocks
+for kernel in (kernel_catalog(CaseId.CASE2), build_general_kernel(
+        BoundaryConditions(1, 0, 0, 0, 1, 0, 1, 0, 0))):
+    for n in (500, 1000):
+        digest = hashlib.sha256()
+        for *_, values in tabulate_blocks(kernel.tables(), Grid(n).nodes):
+            digest.update(values.tobytes())
+        print(digest.hexdigest())
+"""
+
+
+def test_tabulated_bytes_do_not_depend_on_blas_threads():
+    # the kernel dump's bytes are the blocks': a child at one OpenBLAS
+    # thread and one at two print the same hashes
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(bvp3.__file__).parents[1]))
+        printed.append(subprocess.run(
+            [sys.executable, "-c", HASH_BLOCKS], env=env, check=True,
+            capture_output=True, text=True).stdout.split())
+    assert len(printed[0]) == 4
+    assert printed[0] == printed[1]
 
 
 @pytest.mark.parametrize("refinement", [1, 3, 10])
