@@ -121,6 +121,8 @@ COMMANDS = (
         # a table that cannot be written is not printed either
         ["convergence", "--problem", "dqa1", "--levels", "1", "--csv",
          "missing/x.csv"],
+        # two outputs that name one file: a usage error, nothing written
+        ["solve", "--problem", "dqa1", "--csv", "u.csv", "--json", "u.csv"],
     ]
 )
 

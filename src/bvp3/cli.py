@@ -3,9 +3,11 @@
 Exit codes: 0 on success, 1 for domain failures (unknown problem, divergence,
 singular boundary systems, missing exact solution), for a grid or sample
 count too large to allocate, and for output or boundary-condition files that
-cannot be written or read, 2 for usage errors.  An exit-1 failure prints one
-``Error:`` line, and a write that fails removes its file, so no partial
-file is left.
+cannot be written or read, 2 for usage errors, two outputs that name one
+file among them.  An exit-1 failure prints one ``Error:`` line.  A command's
+files are written in order, by ``_emit``, before anything reaches stdout; a
+failure removes the regular files the command opened and never unlinks a
+link or a device, whose target keeps what was written.
 All file output is deterministic: floats print with 17 significant digits,
 lines end with LF, and no timestamps or environment state leak in.  The solve
 report and the check verdict are JSON documents written from the fields of
@@ -19,7 +21,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import contextmanager
+import stat
+from contextlib import contextmanager, suppress
 from dataclasses import fields, replace
 
 import click
@@ -86,17 +89,30 @@ def _resolved_problem(name, m_override):
     return entry, problem
 
 
-def _write_text(path, pieces):
-    """Write the text pieces to path, one after another; a write that fails
-    once the file is open removes it, so no partial file is left."""
-    with _failing():
-        fh = open(path, "w", encoding="utf-8", newline="\n")
-        try:
-            with fh:
-                fh.writelines(pieces)
-        except BaseException:
-            os.remove(path)
-            raise
+def _emit(files, text, nl=True):
+    """Write each (path, pieces) of files in order, then echo text.
+
+    Two paths that resolve to one file are a usage error, and nothing is
+    written.  A failure of any kind removes each path opened so far where os.lstat
+    shows a regular file, so a failed run leaves none of its files and
+    nothing on stdout; a link, device or FIFO is never unlinked."""
+    opened = []
+    try:
+        with _failing():
+            paths = [path for path, _ in files]
+            if len(set(map(os.path.realpath, paths))) < len(paths):
+                raise click.UsageError("%s name one file" % " and ".join(paths))
+            for path, pieces in files:
+                with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                    opened.append(path)
+                    fh.writelines(pieces)
+    except BaseException:
+        for path in opened:
+            with suppress(OSError):  # a path that has gone is skipped
+                if stat.S_ISREG(os.lstat(path).st_mode):
+                    os.remove(path)
+        raise
+    click.echo(text, nl=nl)
 
 
 def _csv_text(header, columns):
@@ -198,25 +214,20 @@ def main():
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None)
 def cmd_solve(name, h, tol, max_iter, m_override, csv_path, json_path):
     """Solve one corpus problem and write the solution CSV and run report."""
-    entry, problem = _resolved_problem(name, m_override)
+    _, problem = _resolved_problem(name, m_override)
     with _failing():
         grid = Grid.from_h(h)
     with _failing(name):
         state, report = solve(problem, grid, tol=tol, max_iter=max_iter)
     csv_path = csv_path or "%s_solution.csv" % name
     json_path = json_path or "%s_report.json" % name
-    _write_text(csv_path, _csv_text("t,u,du,d2u,phi", (
-        grid.nodes, state.u, state.y, state.z, state.phi)))
-    try:
-        _write_text(json_path,
-                    (_record_json(report, problem=name, h=h, tol=tol), "\n"))
-    except click.ClickException:
-        # a failed run leaves neither of its files behind
-        os.remove(csv_path)
-        raise
-    click.echo("%s: converged in %d sweeps, final update %s; wrote %s and %s"
-               % (name, report.iterations, _fmt(report.final_diff),
-                  csv_path, json_path))
+    _emit([(csv_path, _csv_text("t,u,du,d2u,phi", (
+        grid.nodes, state.u, state.y, state.z, state.phi))),
+           (json_path,
+            (_record_json(report, problem=name, h=h, tol=tol), "\n"))],
+          "%s: converged in %d sweeps, final update %s; wrote %s and %s"
+          % (name, report.iterations, _fmt(report.final_diff), csv_path,
+             json_path))
 
 
 @main.command("check")
@@ -232,9 +243,7 @@ def cmd_check(name, m_value, samples, json_path):
     with _failing(name):
         v = verdict(problem, kernel_for(problem), problem.M, samples=samples)
     text = _record_json(v, problem=name)
-    if json_path:
-        _write_text(json_path, (text, "\n"))
-    click.echo(text)
+    _emit([(json_path, (text, "\n"))] if json_path else [], text)
 
 
 def _bc_from_file(path):
@@ -275,8 +284,7 @@ def cmd_kernel(case_num, bc_file, h, csv_path):
         else:
             kernel = build_general_kernel(_bc_from_file(bc_file))
             csv_path = csv_path or "kernel_custom.csv"
-    _write_text(csv_path, _kernel_text(kernel, nodes))
-    click.echo("wrote %s" % csv_path)
+    _emit([(csv_path, _kernel_text(kernel, nodes))], "wrote %s" % csv_path)
 
 
 def _kernel_text(kernel, nodes):
@@ -326,15 +334,11 @@ def cmd_convergence(name, h0, levels, tol, csv_path):
     entry, _ = _resolved_problem(name, None)
     with _failing(name):
         rows = convergence_study(entry, h0, levels, tol=tol)
-    lines = ["h,max_dev_exact,observed_order"]
-    for h_val, dev, order in rows:
-        lines.append("%s,%s,%s" % (
-            _fmt(h_val), _fmt(dev), "" if order is None else _fmt(order)))
-    text = "\n".join(lines) + "\n"
-    # the file first, so a failed write leaves no table on stdout
-    if csv_path:
-        _write_text(csv_path, (text,))
-    click.echo(text, nl=False)
+    text = "h,max_dev_exact,observed_order\n" + "".join(
+        "%s,%s,%s\n" % (_fmt(h_val), _fmt(dev),
+                        "" if order is None else _fmt(order))
+        for h_val, dev, order in rows)
+    _emit([(csv_path, (text,))] if csv_path else [], text, nl=False)
 
 
 @main.command("list")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bvp3.cli import (FLOAT_FMT, NoExactSolution, _csv_text,
+from bvp3.cli import (FLOAT_FMT, NoExactSolution, _csv_rows, _csv_text,
                       convergence_study, main)
 from bvp3 import (Diverged, Grid, MaxIterExceeded, NonFiniteValue,
                   get_problem, kernel_for, list_problems, solve, verdict)
@@ -543,6 +543,48 @@ def test_failed_write_leaves_no_partial_file(runner, tmp_path, monkeypatch):
     assert res.exit_code == 1
     assert res.output == "Error: %s\n" % REFUSED
     assert res.exception is None or isinstance(res.exception, SystemExit)
+
+    # the solve CSV fails after its first block of rows: neither the CSV
+    # nor the report is left
+    def first_block_only(columns):
+        blocks = _csv_rows(columns)
+        yield next(blocks)
+        raise MemoryError(REFUSED)
+
+    monkeypatch.setattr("bvp3.cli._csv_rows", first_block_only)
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        res = runner.invoke(main, ["solve", "--problem", "dqa1"])
+        assert list(Path.cwd().iterdir()) == []
+    assert res.exit_code == 1
+    assert res.output == "Error: %s\n" % REFUSED
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def test_failed_write_never_unlinks_a_link(runner, tmp_path):
+    # the CSV is written through the link; the report's directory is
+    # missing, so the run fails, and only regular files are removed
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("target.csv").touch()
+        Path("link.csv").symlink_to("target.csv")
+        res = runner.invoke(main, ["solve", "--problem", "dqa1", "--csv",
+                                   "link.csv", "--json", "missing/r.json"])
+        assert Path("link.csv").is_symlink()
+        assert Path("link.csv").resolve() == Path("target.csv").resolve()
+    assert res.exit_code == 1
+    assert res.output.startswith("Error: [Errno 2]")
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def test_outputs_naming_one_file_are_a_usage_error(runner, tmp_path):
+    # the report would overwrite the solution CSV
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        res = runner.invoke(main, ["solve", "--problem", "dqa1", "--csv",
+                                   "a.csv", "--json", "./a.csv"])
+        assert list(Path.cwd().iterdir()) == []
+    assert res.exit_code == 2
+    assert res.output.splitlines()[-1] == (
+        "Error: a.csv and ./a.csv name one file")
+    assert "converged" not in res.output
 
 
 def test_convergence_study_function():
