@@ -93,9 +93,10 @@ def _emit(files, text, nl=True):
     """Write each (path, pieces) of files in order, then echo text.
 
     Two paths that resolve to one file are a usage error, and nothing is
-    written.  A failure of any kind removes each path opened so far where os.lstat
-    shows a regular file, so a failed run leaves none of its files and
-    nothing on stdout; a link, device or FIFO is never unlinked."""
+    written.  A failure of any kind removes each path opened so far where
+    os.lstat shows a regular file, so a failed run leaves no file of its
+    own and nothing on stdout; a link, device or FIFO is never unlinked,
+    and its target keeps what was written."""
     opened = []
     try:
         with _failing():
@@ -108,7 +109,7 @@ def _emit(files, text, nl=True):
                     fh.writelines(pieces)
     except BaseException:
         for path in opened:
-            with suppress(OSError):  # a path that has gone is skipped
+            with suppress(OSError):  # a path gone or not removable is skipped
                 if stat.S_ISREG(os.lstat(path).st_mode):
                     os.remove(path)
         raise
