@@ -8,10 +8,14 @@ PYTHONPATH, in a fresh empty directory that holds only the shared
 boundary-condition files.  Stdout, stderr, the exit code and every file the
 command writes are compared.  Any difference is printed and the script
 exits 1; identical output exits 0, and a tree that cannot run ``bvp3 list``
-exits 2.
+exits 2.  A CSV or JSON file that differs but keeps its shape and its
+non-numeric fields is printed with the largest difference of its numeric
+fields relative to their column's largest |value| (``max rel``), so a
+change in the last digits reads as one.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -141,6 +145,65 @@ def run(tree, args):
     return proc.returncode, proc.stdout, proc.stderr, files
 
 
+def _fields(name, data):
+    """(column, field) for each field of a CSV file, its column the field's
+    index in its row, or (key path, value) for each leaf of a JSON file, in
+    order; None for another file or one that does not parse."""
+    try:
+        text = data.decode("utf-8")
+        if name.endswith(".csv"):
+            return [(j, field) for row in text.splitlines()
+                    for j, field in enumerate(row.split(","))]
+        if name.endswith(".json"):
+            return list(_leaves(json.loads(text), ()))
+    except ValueError:
+        pass
+    return None
+
+
+def _leaves(doc, path):
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path, doc
+
+
+def _number(field):
+    """A field as a float; None for a bool or a field that is no number."""
+    if isinstance(field, bool):
+        return None
+    try:
+        return float(field)
+    except (TypeError, ValueError):
+        return None
+
+
+def max_relative_difference(name, data_a, data_b):
+    """The largest |a - b| over the numeric fields of two versions of a CSV
+    or JSON file, each divided by the largest |value| of its column in
+    either version (a JSON leaf is a column of its own); None where they
+    differ in shape or in a field that is not a number."""
+    fields_a, fields_b = _fields(name, data_a), _fields(name, data_b)
+    if (fields_a is None or fields_b is None
+            or [k for k, _ in fields_a] != [k for k, _ in fields_b]):
+        return None
+    scale, moved = {}, []
+    for (key, a), (_, b) in zip(fields_a, fields_b):
+        x, y = _number(a), _number(b)
+        if x is None or y is None:
+            if a != b or type(a) is not type(b):
+                return None
+            continue
+        scale[key] = max(scale.get(key, 0.0), abs(x), abs(y))
+        if x != y and not (math.isnan(x) and math.isnan(y)):
+            moved.append((key, abs(x - y)))
+    return max((diff / scale[key] for key, diff in moved), default=0.0)
+
+
 def differences(base, head):
     """Names of the parts of two run results that differ."""
     code_a, out_a, err_a, files_a = base
@@ -153,8 +216,12 @@ def differences(base, head):
     if err_a != err_b:
         diffs.append("stderr")
     for name in sorted(set(files_a) | set(files_b)):
-        if files_a.get(name) != files_b.get(name):
-            diffs.append("file %s" % name)
+        data_a, data_b = files_a.get(name), files_b.get(name)
+        if data_a != data_b:
+            rel = (None if data_a is None or data_b is None
+                   else max_relative_difference(name, data_a, data_b))
+            diffs.append("file %s" % name if rel is None else
+                         "file %s (numeric fields, max rel %.2g)" % (name, rel))
     return diffs
 
 

@@ -92,17 +92,13 @@ def _resolved_problem(name, m_override):
 def _emit(files, text, nl=True):
     """Write each (path, pieces) of files in order, then echo text.
 
-    Two paths that resolve to one file are a usage error, and nothing is
-    written.  A failure of any kind removes each path opened so far where
+    A failure of any kind removes each path opened so far where
     os.lstat shows a regular file, so a failed run leaves no file of its
     own and nothing on stdout; a link, device or FIFO is never unlinked,
     and its target keeps what was written."""
     opened = []
     try:
         with _failing():
-            paths = [path for path, _ in files]
-            if len(set(map(os.path.realpath, paths))) < len(paths):
-                raise click.UsageError("%s name one file" % " and ".join(paths))
             for path, pieces in files:
                 with open(path, "w", encoding="utf-8", newline="\n") as fh:
                     opened.append(path)
@@ -214,14 +210,22 @@ def main():
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None)
 def cmd_solve(name, h, tol, max_iter, m_override, csv_path, json_path):
-    """Solve one corpus problem and write the solution CSV and run report."""
+    """Solve one corpus problem and write the solution CSV and run report.
+
+    Two output paths that name one file, by their real paths or, where both
+    exist, as hard links, are a usage error before the solve runs."""
     _, problem = _resolved_problem(name, m_override)
     with _failing():
         grid = Grid.from_h(h)
-    with _failing(name):
-        state, report = solve(problem, grid, tol=tol, max_iter=max_iter)
     csv_path = csv_path or "%s_solution.csv" % name
     json_path = json_path or "%s_report.json" % name
+    same = os.path.realpath(csv_path) == os.path.realpath(json_path)
+    with suppress(OSError):  # samefile needs both paths to exist
+        same = same or os.path.samefile(csv_path, json_path)
+    if same:
+        raise click.UsageError("%s and %s name one file" % (csv_path, json_path))
+    with _failing(name):
+        state, report = solve(problem, grid, tol=tol, max_iter=max_iter)
     _emit([(csv_path, _csv_text("t,u,du,d2u,phi", (
         grid.nodes, state.u, state.y, state.z, state.phi))),
            (json_path,

@@ -85,6 +85,12 @@ _DT_POWERS = tuple(np.linalg.matrix_power(_DT, k) for k in range(3))
 _JUMP = np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]])
 # monomials in s of ((1 - s)^2 / 2, 1 - s, 1), one row each
 _P = np.array([[0.5, -1.0, 0.5], [1.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
+# its inverse: the moments of (1, s, s^2) phi from those of ((1 - s)^2 / 2,
+# 1 - s, 1) phi, the particular parts of G, G_t and G_tt at t = 1
+_MOMENTS = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 1.0], [2.0, -2.0, 1.0]])
+# the t-derivatives of a table, each then read as the row's values at t = 0
+# and t = 1 and its t^2 coefficient
+_END_DT = np.array([[1, 0, 0], [1, 1, 1], [0, 0, 1]]) @ _DT_POWERS
 # u, u', u'' at t = 1 of c1 + c2 t + c3 t^2 / 2 in (c1, c2, c3), a row each
 _AT_ONE = np.array([[1.0, 1.0, 0.5], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
 # the coefficient fields of BoundaryConditions, row by row
@@ -247,10 +253,11 @@ class GreenKernel:
         if closed:  # the closed-form signs, where _sign_pair caches its own
             self.__dict__["_sign_pair"] = closed[0]
         norms = closed[1] if closed else _norms(rows)
-        # (9, 6) for quadrature.apply_rows: row 3 k + a is row a of pair k
-        stack = _read_only(rows.transpose(0, 2, 1, 3).reshape(9, 6))
-        names = ("upper", "_rows", "_row_stack", "m0", "m1", "m2")
-        for name, value in zip(names, (upper, rows, stack, *norms)):
+        # (9, 3) for quadrature.apply_rows: rows 3 k .. 3 k + 2 take the
+        # particular parts at t = 1 to the boundary quadratic of row k
+        ends = _read_only((_END_DT @ upper @ _MOMENTS).reshape(9, 3))
+        names = ("upper", "_rows", "_ends", "m0", "m1", "m2")
+        for name, value in zip(names, (upper, rows, ends, *norms)):
             object.__setattr__(self, name, value)
 
     @cached_property

@@ -5,9 +5,10 @@ phi = f(t, u, u', u''), with u and its derivatives recovered from phi by
 integrating against the Green kernel rows.  Starting from phi = f(t, 0, 0, 0)
 each sweep integrates, resamples f, and measures the sup-norm update; the
 updates shrink geometrically whenever the weighted Lipschitz sum q is below
-one.  The integrals come from ``quadrature.apply_rows``, which applies all
-three kernel rows in O(n) time and memory, so a sweep never forms a weight
-matrix.
+one.  The integrals come from ``quadrature.apply_rows``: the particular
+parts, running sums of phi that no kernel enters, plus a boundary quadratic
+that the kernel fixes through nine numbers, so a sweep never forms a weight
+matrix and costs O(n) time and memory.
 """
 
 from __future__ import annotations

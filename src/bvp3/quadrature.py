@@ -5,15 +5,19 @@ trapezoid split at the diagonal node, so each branch is integrated on its own
 side and the one-sided values at s = t come from the matching branch.  That
 keeps second-order accuracy even though the G_tt row jumps there.
 
-``apply_rows`` is how the sweeps apply it: each branch is a polynomial in s,
-so the rows need only six moments, the trapezoid prefix and suffix sums of
-s^b phi, and one contraction with the kernel's (9, 6) table stack gives G,
-G1 and G2 together in O(n).  The node powers [1, x, x^2] are built once per
-grid and the stack once per kernel, both read-only, and the moments are
-written in place in the order of the plain formula, so the fields are those
-of a fresh evaluation bit for bit.  ``kernel_row_matrix`` writes the rule
-out as a dense (n+1)^2 weight matrix of the row of a t-derivative order, the
-reference the tests hold ``apply_rows`` to; ``numeric_kernel_norms`` reads
+``apply_rows`` is how the sweeps apply it, to G, G1 and G2 together in O(n).
+Every kernel's lower branch is its upper one plus (t - s)^2 / 2, so each row
+is a particular part that reads no kernel, from three nested running sums,
+plus a quadratic in t fixed by the boundary rows.  The kernel enters through
+its (9, 3) end map, which takes the particular parts at t = 1 to each row's
+quadratic by its values at t = 0 and t = 1; the grid's basis
+[1 - x, x, x (x - 1)] adds it there exactly, so a boundary row that vanishes
+identically reads 0.  The map is built once per kernel and the basis once
+per grid, both read-only, and the sums are written in place in the order of
+the plain formula, so the fields are those of a fresh evaluation bit for
+bit.  ``kernel_row_matrix`` writes the rule out as a dense (n+1)^2 weight
+matrix of the row of a t-derivative order, the reference the tests hold
+``apply_rows`` to; ``numeric_kernel_norms`` reads
 the same weights for quadrature values of M0..M2, the reference for the
 exact norms of ``greens``, and holds no (n+1)^2 array: 2.4 MiB at its peak
 at refinement 10, where the whole tables and weights took 23 MiB.
@@ -70,12 +74,14 @@ class Grid:
         return x
 
     @cached_property
-    def _powers(self) -> np.ndarray:
-        """[1, x, x^2] at the nodes for ``apply_rows``, read-only like them."""
+    def _end_basis(self) -> np.ndarray:
+        """[1 - x, x, x (x - 1)] at the nodes for ``apply_rows``: a quadratic
+        by its values at 0 and 1 and its x^2 coefficient; read-only like
+        them."""
         x = self.nodes
-        powers = np.stack([np.ones_like(x), x, x * x])
-        powers.setflags(write=False)
-        return powers
+        basis = np.stack([1.0 - x, x, x * (x - 1.0)])
+        basis.setflags(write=False)
+        return basis
 
     @classmethod
     def from_h(cls, h: float) -> "Grid":
@@ -160,21 +166,20 @@ def apply_rows(kernel: GreenKernel, grid: Grid, phi):
     """(u, u', u'') at the nodes: the rows G, G1 and G2 applied to phi by the
     rule of ``kernel_row_matrix``, in O(n).
 
-    With g_b = s^b phi and the running sum mid_i = g_0 + ... + g_(i-1) + g_i/2,
-    the trapezoid sums of g_b over [0, t_i] and [t_i, 1] are
-    pre_b[i] = h (mid_i - mid_0) and suf_b[i] = h (mid_n - mid_i), and entry i
-    of a kernel row with tables (lower, upper) is
-    sum_a t_i^a sum_b (lower[a, b] pre_b[i] + upper[a, b] suf_b[i]).
+    Row k is the particular part p_k, the trapezoid sum over [0, t_i] of
+    (t_i - s)^2 / 2 phi, (t_i - s) phi and phi for k = 0, 1, 2, plus the
+    boundary quadratic of ``GreenKernel._ends``.  The sums nest, with
+    m_i = p_2[i + 1] - h phi_(i+1) / 2:
+    p_2[i + 1] = p_2[i] + h (phi_i + phi_(i+1)) / 2,
+    p_1[i + 1] = p_1[i] + h m_i and p_0[i + 1] = p_0[i] + h (p_1[i] + h m_i / 2).
     """
-    powers = grid._powers
-    g = powers * phi
-    mid = np.cumsum(g, axis=1)
-    mid -= 0.5 * g
-    sums = np.empty((6, grid.n + 1))
-    np.subtract(mid, mid[:, :1], out=sums[:3])
-    np.subtract(mid[:, -1:], mid, out=sums[3:])
-    sums *= grid.h
-    # one (lower | upper) block of rows per kernel row G, G1, G2
-    terms = (kernel._row_stack @ sums).reshape(3, 3, -1)
-    terms *= powers
-    return tuple(terms.sum(axis=1))
+    h = grid.h
+    p = np.zeros((3, grid.n + 1))
+    np.cumsum(0.5 * h * (phi[:-1] + phi[1:]), out=p[2, 1:])
+    m = p[2, 1:] - 0.5 * h * phi[1:]
+    np.cumsum(h * m, out=p[1, 1:])
+    np.cumsum(h * (p[1, :-1] + 0.5 * h * m), out=p[0, 1:])
+    # the quadratic by its values at t = 0 and 1, so a boundary row that
+    # vanishes there reads exactly 0
+    p += (kernel._ends @ p[:, -1]).reshape(3, 3) @ grid._end_basis
+    return tuple(p)

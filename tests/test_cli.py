@@ -587,6 +587,37 @@ def test_outputs_naming_one_file_are_a_usage_error(runner, tmp_path):
     assert "converged" not in res.output
 
 
+def test_hard_linked_outputs_are_a_usage_error(runner, tmp_path):
+    # two names of one inode pass a real-path comparison, but not samefile;
+    # both names keep the bytes they had
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("a.csv").write_text("kept\n")
+        Path("b.csv").hardlink_to("a.csv")
+        res = runner.invoke(main, ["solve", "--problem", "dqa1", "--csv",
+                                   "a.csv", "--json", "b.csv"])
+        names = sorted(p.name for p in Path.cwd().iterdir())
+        assert names == ["a.csv", "b.csv"]
+        assert Path("a.csv").read_text() == "kept\n"
+        assert Path("a.csv").stat().st_ino == Path("b.csv").stat().st_ino
+    assert res.exit_code == 2
+    assert res.output.splitlines()[-1] == "Error: a.csv and b.csv name one file"
+
+
+def test_outputs_naming_one_file_are_refused_before_the_solve(
+        runner, tmp_path, monkeypatch):
+    # at h = 1e-5 the solve would take most of a second; it never starts
+    calls = []
+    monkeypatch.setattr("bvp3.cli.solve", lambda *a, **k: calls.append(a))
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        res = runner.invoke(main, ["solve", "--problem", "dqa", "--h",
+                                   "0.00001", "--csv", "x.csv", "--json",
+                                   "x.csv"])
+        assert list(Path.cwd().iterdir()) == []
+    assert res.exit_code == 2
+    assert res.output.splitlines()[-1] == "Error: x.csv and x.csv name one file"
+    assert calls == []
+
+
 def test_convergence_study_function():
     rows = convergence_study(get_problem("dqa"), 0.04, 2)
     assert len(rows) == 3

@@ -199,11 +199,17 @@ def test_catalog_tables_match_constructor(case):
             assert np.array_equal(got, hand)
             assert np.array_equal(np.signbit(got), np.signbit(hand))
     assert not cat.upper.flags.writeable and not gen.tables(0)[0].flags.writeable
-    # the (9, 6) stack of every row's (lower | upper) blocks is read-only too
+    # the (9, 3) end map is read-only too: rows 3 k .. 3 k + 2 read row k's
+    # upper table at t = 0 and t = 1 and by its t^2 coefficient, through
+    # the moments of (1, s, s^2) phi from those of ((1 - s)^2 / 2, 1 - s, 1)
+    moments = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 1.0], [2.0, -2.0, 1.0]])
+    particular = np.array([[0.5, -1.0, 0.5], [1.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
+    assert np.array_equal(particular @ moments, np.eye(3))
     for kernel in (cat, gen):
-        assert not kernel._row_stack.flags.writeable
-        assert np.array_equal(kernel._row_stack, np.concatenate(
-            [np.concatenate(kernel.tables(k), axis=1) for k in range(3)]))
+        assert not kernel._ends.flags.writeable
+        assert np.array_equal(kernel._ends, np.concatenate(
+            [np.stack([up[0], up.sum(axis=0), up[2]]) @ moments
+             for _, up in map(kernel.tables, range(3))]))
         # with no order, the whole stack on (order, side)
         assert kernel.tables().shape == (3, 2, 3, 3)
         assert all(np.array_equal(kernel.tables()[k], kernel.tables(k))
@@ -215,7 +221,7 @@ def test_catalog_kernel_is_built_once_and_shared(case):
     kernel = kernel_catalog(case)
     assert kernel_catalog(case) is kernel
     # shared safely: frozen, with every array read-only
-    for arr in (kernel.upper, kernel._row_stack, *kernel.tables(2),
+    for arr in (kernel.upper, kernel._ends, *kernel.tables(2),
                 *kernel.tables()[0]):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

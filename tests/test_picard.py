@@ -238,10 +238,10 @@ def test_residual_stride_starts_above_n_1351():
 
 
 # strided interior residuals; the plain stencil gives 2.0e-3 and 1.56 (dqa1),
-# 8.5e-4 and 0.99 (dqa) at these n.  At n = 10^5 the prefix-sum rounding of
-# the fields still sets them: long-double fields give 1.3e-6 and 3.6e-7.
-STRIDED_RESIDUAL = {("dqa1", 10 ** 4): 3.6626e-06, ("dqa1", 10 ** 5): 4.7866e-05,
-                    ("dqa", 10 ** 4): 2.9515e-06, ("dqa", 10 ** 5): 2.6609e-05}
+# 8.5e-4 and 0.99 (dqa) at these n.  The running-sum rounding of the fields
+# still sets them.
+STRIDED_RESIDUAL = {("dqa1", 10 ** 4): 2.1922e-06, ("dqa1", 10 ** 5): 3.6547e-06,
+                    ("dqa", 10 ** 4): 7.8314e-07, ("dqa", 10 ** 5): 2.1352e-06}
 
 
 @pytest.mark.parametrize("name, n", list(STRIDED_RESIDUAL))

@@ -18,7 +18,8 @@ from numpy.testing import assert_allclose
 import bvp3
 from bvp3 import (BoundaryConditions, CaseId, Grid, RankDeficientBC,
                   SingularBoundarySystem, apply_rows, build_general_kernel,
-                  kernel_catalog, kernel_row_matrix, numeric_kernel_norms)
+                  case_boundary_conditions, kernel_catalog, kernel_row_matrix,
+                  numeric_kernel_norms)
 from bvp3.greens import evaluate
 from bvp3.quadrature import (BLOCK_ROWS, NORM_BASE_N, _split_weights,
                              tabulate_blocks)
@@ -42,11 +43,12 @@ def test_grid_basic():
     assert g.nodes is g.nodes
     with pytest.raises(ValueError):
         g.nodes[3] = 0.5
-    # so are the node powers [1, x, x^2] that apply_rows reads
-    assert g._powers is g._powers
-    assert np.array_equal(g._powers[2], g.nodes * g.nodes)
+    # so is the basis [1 - x, x, x (x - 1)] that apply_rows reads
+    x = g.nodes
+    assert g._end_basis is g._end_basis
+    assert np.array_equal(g._end_basis, [1.0 - x, x, x * (x - 1.0)])
     with pytest.raises(ValueError):
-        g._powers[1, 3] = 0.5
+        g._end_basis[1, 3] = 0.5
 
 
 def test_grid_validation():
@@ -177,7 +179,7 @@ def test_order_of_accuracy_smooth_source():
 
 
 ENDPOINTS = list(itertools.product((0, 1), repeat=3))
-# over 600 random kernels and grids, |apply_rows - dense| was at most 9.8e-17
+# over 600 random kernels and grids, |apply_rows - dense| was at most 8.2e-17
 # times max|phi| * (sum|lower| + sum|upper|) of the row's tables
 APPLY_TOL = 1e-15
 
@@ -215,19 +217,26 @@ def test_apply_rows_matches_dense(case, coeffs, endpoints, n, seed, scale):
 
 
 def _reference_apply_rows(kernel, grid, phi):
-    """apply_rows in its plain form, the node powers and the table stack
-    built per call and every moment allocated: the reference it is held to
-    bit for bit."""
-    x = grid.nodes
-    powers = np.stack([np.ones_like(x), x, x * x])
-    g = powers * phi
-    mid = np.cumsum(g, axis=1) - 0.5 * g
-    sums = np.concatenate([mid - mid[:, :1], mid[:, -1:] - mid])
-    sums *= grid.h
-    coef = np.concatenate([np.concatenate(kernel.tables(order), axis=1)
-                           for order in range(3)])
-    terms = (coef @ sums).reshape(3, 3, -1)
-    return tuple(np.sum(terms * powers, axis=1))
+    """apply_rows in its plain form, every sum allocated and the basis and
+    the end map built per call, the map from ``kernel.upper``: the
+    reference it is held to bit for bit."""
+    h, x = grid.h, grid.nodes
+    zero = [0.0]
+    p2 = np.concatenate([zero, np.cumsum(0.5 * h * (phi[:-1] + phi[1:]))])
+    m = p2[1:] - 0.5 * h * phi[1:]
+    p1 = np.concatenate([zero, np.cumsum(h * m)])
+    p0 = np.concatenate([zero, np.cumsum(h * (p1[:-1] + 0.5 * h * m))])
+    # the moments of (1, s, s^2) phi from the particular parts at t = 1
+    moments = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 1.0], [2.0, -2.0, 1.0]])
+    # each t-derivative of a quadratic, read at t = 0 and 1 and by its t^2
+    # coefficient
+    at_ends = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+    dt = np.diag([1.0, 2.0], k=1)
+    ends = np.array([at_ends @ np.linalg.matrix_power(dt, k) for k in range(3)])
+    ends = (ends @ kernel.upper @ moments).reshape(9, 3)
+    basis = np.stack([1.0 - x, x, x * (x - 1.0)])
+    quad = (ends @ np.array([p0[-1], p1[-1], p2[-1]])).reshape(3, 3) @ basis
+    return tuple(np.stack([p0, p1, p2]) + quad)
 
 
 def _trapezoid_weights(m, h):
@@ -237,8 +246,8 @@ def _trapezoid_weights(m, h):
     return w
 
 
-# |apply_rows - fsum| / fsum(|terms|) measured at most 1.1e-15 (CASE1) and
-# 6.0e-14 (CASE3); the running sums add in sequence, so this grows with n
+# |apply_rows - fsum| / fsum(|terms|) measured at most 7.8e-17 (CASE1) and
+# 5.1e-16 (CASE3); the running sums add in sequence, so this grows with n
 FSUM_TOL = 5e-13
 
 
@@ -264,13 +273,29 @@ def test_apply_rows_against_fsum(case):
                     <= FSUM_TOL * math.fsum(np.abs(terms)))
 
 
+@pytest.mark.parametrize("case", list(CaseId))
+def test_pure_boundary_rows_read_exact_zeros(case):
+    # a boundary row u^(d)(e) = 0 cancels in the end map's constants, so
+    # field d reads 0.0 at that end, not a rounding residue, for any phi
+    kernel = kernel_catalog(case)
+    pure = [((a, b, g).index(1.0), e)
+            for a, b, g, e in case_boundary_conditions(case).rows()]
+    assert len(pure) == 3
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 100, 1001):
+        for _ in range(5):
+            fields = apply_rows(kernel, Grid(n), rng.standard_normal(n + 1))
+            for d, e in pure:
+                value = fields[d][-e]
+                assert value == 0.0 and not np.signbit(value)
+
+
 def test_apply_rows_memory_per_node():
-    # the node powers are the grid's, built before tracing; the moments, the
-    # contraction and the three fields peaked at 24 doubles per node at
-    # n = 10^5, and the plain form above at 36
+    # the basis is the grid's, built before tracing; the sums, the boundary
+    # quadratic and the three fields peaked at 7 doubles per node at n = 10^5
     n = 10 ** 5
     grid = Grid(n)
-    assert grid._powers.shape == (3, n + 1)
+    assert grid._end_basis.shape == (3, n + 1)
     phi = np.random.default_rng(3).standard_normal(n + 1)
     tracemalloc.start()
     try:
@@ -278,7 +303,7 @@ def test_apply_rows_memory_per_node():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 28 * 8 * (n + 1)
+    assert peak <= 12 * 8 * (n + 1)
 
 
 # below this many nodes OpenBLAS forms V @ C @ V.T on one thread whatever
