@@ -12,8 +12,8 @@ All file output is deterministic: floats print with 17 significant digits,
 lines end with LF, and no timestamps or environment state leak in.  The solve
 report and the check verdict are JSON documents written from the fields of
 ``IterationReport`` and ``ConditionVerdict``, in declaration order.  The
-kernel dump reads ``quadrature.tabulate_blocks`` a block of node rows at a
-time, so it holds no (n+1)^2 column.
+kernel dump prints the kernel's own values, ``GreenKernel.g``, ``g1`` and
+``g2``, a block of node rows at a time, so it holds no (n+1)^2 column.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .greens import (_COEFFICIENTS, BoundaryConditions, CaseId,
                      build_general_kernel, kernel_catalog)
 from .picard import (Diverged, MaxIterExceeded, NonFiniteValue, kernel_for,
                      solve)
-from .quadrature import Grid, tabulate_blocks
+from .quadrature import Grid
 
 __all__ = ["main", "NoExactSolution", "convergence_study"]
 
@@ -43,6 +43,7 @@ FLOAT_FMT = "%.17g"
 # the doubles nearest 10^k, k = -4 .. 20, none below 10^k; each 4-digit
 # string as one uint32; the row numbers of the writer's character table
 CSV_BLOCK = 2048
+KERNEL_ROWS = 24  # node rows of the kernel dump evaluated at a time
 _TENS = np.array([float("1e%d" % k) for k in range(-4, 21)])
 _DIGITS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4,
                                indexing="ij"), -1).view(np.uint32).ravel()
@@ -294,14 +295,14 @@ def cmd_kernel(case_num, bc_file, h, csv_path):
 
 def _kernel_text(kernel, nodes):
     """The kernel dump in pieces: t, s, G, G_t and G_tt at every node pair
-    (t_i, s_j), lower branch on s <= t, one ``tabulate_blocks`` block of
+    (t_i, s_j), the values of ``kernel.g``, ``g1`` and ``g2``, KERNEL_ROWS
     node rows at a time, so its memory does not grow as the square of the
     nodes."""
     yield "t,s,G,G1,G2\n"
-    for a, b, values in tabulate_blocks(kernel.tables(), nodes):
-        rows = np.where(nodes <= nodes[a:b, None], values[:, 0], values[:, 1])
-        yield from _csv_rows((np.repeat(nodes[a:b], nodes.size),
-                              np.tile(nodes, b - a), *rows.reshape(3, -1)))
+    for a in range(0, nodes.size, KERNEL_ROWS):
+        t, s = np.meshgrid(nodes[a:a + KERNEL_ROWS], nodes, indexing="ij")
+        yield from _csv_rows([v.ravel() for v in (
+            t, s, kernel.g(t, s), kernel.g1(t, s), kernel.g2(t, s))])
 
 
 def convergence_study(entry, h0, levels, tol=1e-6):

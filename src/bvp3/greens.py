@@ -3,9 +3,10 @@
 For each source point s in (0, 1) the kernel t -> G(t, s) solves G''' = 0
 away from the diagonal, satisfies the three boundary functionals, and is C^1
 across t = s with a unit jump in the second t-derivative.  The module carries
-boundary rows and closed-form constants for the four standard condition sets,
-a constructor for arbitrary coefficient sets, and the sign and norm metadata
-that the iteration and the solvability checks consume.
+boundary rows and closed-form norms for the four standard condition sets, a
+constructor for arbitrary coefficient sets, and every fact of a kernel that
+the iteration, the solvability checks and the kernel dump read: its values,
+its signs and its norms, each from one source.
 
 Representation: on each side of the diagonal G is a polynomial of degree at
 most 2 in t and in s, so a kernel is one read-only 3x3 coefficient table,
@@ -18,26 +19,27 @@ so a kernel can be shared: each catalog kernel is built once, on first use.
 ``GreenKernel.tables(order)`` is the one checked reader of a row's tables,
 and ``GreenKernel._at`` the one pointwise evaluator of a row, behind the nine
 names ``g``, ``g1``, ``g2`` and ``g_lower`` ... ``g2_upper``; it reads each
-table through ``evaluate``.  Grid code lives in ``quadrature``.
+table through ``evaluate``, and the kernel dump reads its values there too.
+Grid code lives in ``quadrature``.
 
-Signs and norms are a function of the table: a catalog table, bit for bit,
-carries its closed forms, and any other is read off its row tables.  At
-fixed t each side of a row is a quadratic in s, which its real roots split
-into pieces of constant sign, each integral an antiderivative difference.
-The pieces' absolute values add up to N_k(t), the exact integral of |row k|
-at that t, and their signs give the row's sign, so both are exact in s.
-G and G_t are continuous across s = t, so the t-derivative of N_0 and N_1
-is exact too: the signs of row k's pieces applied to the integrals of row
-k + 1 between the same breakpoints.  The norms are built with the kernel:
-M2 in closed form, as N_2' = |U + 1| - |U| for U the t-free upper G_tt row;
-M0 and M1 from N_k and N_k' on a bracket scan of every 4th point of the
+Signs and norms are a function of the table, derived on their first read:
+the signs of every table from the one sign scan, the norms of a catalog
+table, bit for bit, from its closed forms, and of any other from its row
+tables.  At fixed t each side of a row is a quadratic in s, which its real
+roots split into pieces of constant sign, each integral an antiderivative
+difference.  The pieces' absolute values add up to N_k(t), the exact
+integral of |row k| at that t, and their signs give the row's sign, so both
+are exact in s.  G and G_t are continuous across s = t, so the t-derivative
+of N_0 and N_1 is exact too: the signs of row k's pieces applied to the
+integrals of row k + 1 between the same breakpoints.  The norms: M2 in
+closed form, as N_2' = |U + 1| - |U| for U the t-free upper G_tt row; M0
+and M1 from N_k and N_k' on a bracket scan of every 4th point of the
 t-scan, a Hermite step into each cell where N_k' falls from positive to
 negative (an end cell going by its inner end), and up to two secant
 steps on N_k' after it.  Every candidate is a value of N_k, so each norm
 is an estimate of the max and not a certified bound.  The signs are read
-from the pieces of G and G_t alone on the t-scan, on their first read: a
-kernel that is only solved with never scans for them.  The scans' fixed
-arrays are built once, at import.
+from the pieces of G and G_t alone on the t-scan.  The scans' fixed arrays
+are built once, at import.
 
 Branch convention: the "lower" table applies on s <= t, the "upper" one on
 t <= s.  Both are polynomials on the whole square; at the diagonal the lower
@@ -49,7 +51,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property, partialmethod
 
@@ -173,22 +175,21 @@ class BoundaryConditions:
                                  "numbers: %s is %s" % (name, shown))
 
 
-# case -> (boundary rows a1..g3 and endpoints, (M0, M1, M2),
-# (sigma_g, sigma_g1)), the constants read off the closed form of G in the
-# comment above each
+# case -> (boundary rows a1..g3 and endpoints, (M0, M1, M2)), the norms
+# read off the closed form of G in the comment above each
 _CATALOG = {
     # s t^2/2 - s t + s^2/2 on s <= t, (s - 1) t^2/2 on t <= s
     CaseId.CASE1: (BoundaryConditions(1, 0, 0, 0, 1, 0, 0, 1, 0, (0, 0, 1)),
-                   (1.0 / 12.0, 1.0 / 8.0, 1.0 / 2.0), (-1, -1)),
+                   (1.0 / 12.0, 1.0 / 8.0, 1.0 / 2.0)),
     # s^2/2 - s t on s <= t, -t^2/2 on t <= s
     CaseId.CASE2: (BoundaryConditions(1, 0, 0, 0, 1, 0, 0, 0, 1, (0, 0, 1)),
-                   (1.0 / 3.0, 1.0 / 2.0, 1.0), (-1, -1)),
+                   (1.0 / 3.0, 1.0 / 2.0, 1.0)),
     # s^2/2 on s <= t, s t - t^2/2 on t <= s
     CaseId.CASE3: (BoundaryConditions(1, 0, 0, 0, 1, 0, 0, 0, 1, (0, 1, 1)),
-                   (1.0 / 6.0, 1.0 / 2.0, 1.0), (1, 1)),
+                   (1.0 / 6.0, 1.0 / 2.0, 1.0)),
     # t^2/2 - t + s^2/2 on s <= t, s t - t on t <= s
     CaseId.CASE4: (BoundaryConditions(1, 0, 0, 0, 0, 1, 0, 1, 0, (0, 0, 1)),
-                   (1.0 / 3.0, 1.0 / 2.0, 1.0), (-1, -1)),
+                   (1.0 / 3.0, 1.0 / 2.0, 1.0)),
 }
 
 
@@ -223,22 +224,22 @@ def _row_tables(upper):
 
 @dataclass(frozen=True, eq=False)
 class GreenKernel:
-    """Piecewise-quadratic kernel: one coefficient table and its metadata.
+    """Piecewise-quadratic kernel: one coefficient table, and every fact the
+    solver and the conditions read off it.
 
-    upper, the one argument, is the 3x3 table of G on t <= s, entry [a, b]
+    upper, the one field, is the 3x3 table of G on t <= s, entry [a, b]
     multiplying t^a s^b, kept read-only; ``tables`` derives the one on
-    s <= t.  m0, m1, m2 are the max-over-t integrals of |G|, |G_t|, |G_tt|,
-    and sigma_g, sigma_g1 are -1, 0 or +1, zero meaning the row has no
-    constant sign on the square.  A catalog table carries its closed forms;
-    any other gets ``_norms`` at construction and ``_signs`` on the first
-    read of a sign, so a kernel that is only solved with never scans for
-    signs.
+    s <= t, and ``g``, ``g1`` and ``g2`` give the rows' values.  m0, m1, m2
+    are the max-over-t integrals of |G|, |G_t|, |G_tt|, and sigma_g,
+    sigma_g1 are -1, 0 or +1, zero meaning the row has no constant sign on
+    the square.  Both are derived on their first read, each from one
+    source: the norms from a catalog table's closed forms or else
+    ``_norms``, the signs from ``_signs`` for every table.  So a kernel
+    that is only tabulated reads neither, and one that is only solved with
+    never scans for signs.
     """
 
     upper: np.ndarray
-    m0: float = field(init=False)
-    m1: float = field(init=False)
-    m2: float = field(init=False)
 
     def __post_init__(self):
         upper = _read_only(self.upper)
@@ -248,29 +249,26 @@ class GreenKernel:
         if not np.isfinite(upper).all():
             raise ValueError("kernel table must be finite: it holds %r"
                              % float(upper[~np.isfinite(upper)][0]))
-        rows = _row_tables(upper)
-        closed = _CLOSED_FORMS.get(upper.tobytes())
-        if closed:  # the closed-form signs, where _sign_pair caches its own
-            self.__dict__["_sign_pair"] = closed[0]
-        norms = closed[1] if closed else _norms(rows)
         # (9, 3) for quadrature.apply_rows: rows 3 k .. 3 k + 2 take the
         # particular parts at t = 1 to the boundary quadratic of row k
         ends = _read_only((_END_DT @ upper @ _MOMENTS).reshape(9, 3))
-        names = ("upper", "_rows", "_ends", "m0", "m1", "m2")
-        for name, value in zip(names, (upper, rows, ends, *norms)):
+        for name, value in zip(("upper", "_rows", "_ends"),
+                               (upper, _row_tables(upper), ends)):
             object.__setattr__(self, name, value)
 
     @cached_property
     def _sign_pair(self):
         return _signs(self._rows)
 
-    @property
-    def sigma_g(self):
-        return self._sign_pair[0]
+    @cached_property
+    def _norm_triple(self):
+        return _CLOSED_NORMS.get(self.upper.tobytes()) or _norms(self._rows)
 
-    @property
-    def sigma_g1(self):
-        return self._sign_pair[1]
+    sigma_g = property(lambda self: self._sign_pair[0])
+    sigma_g1 = property(lambda self: self._sign_pair[1])
+    m0 = property(lambda self: self._norm_triple[0])
+    m1 = property(lambda self: self._norm_triple[1])
+    m2 = property(lambda self: self._norm_triple[2])
 
     def tables(self, order=None):
         """(lower, upper) tables of the order-th t-derivative as one read-only
@@ -305,7 +303,7 @@ class GreenKernel:
     g2_upper = partialmethod(_at, 2, 1)
 
     def norms(self):
-        return (self.m0, self.m1, self.m2)
+        return self._norm_triple
 
     def q(self, lipschitz):
         """Contraction factor L0 M0 + L1 M1 + L2 M2, summed left to right."""
@@ -340,15 +338,15 @@ def _upper_table(bc: BoundaryConditions) -> np.ndarray:
     return upper
 
 
-# catalog table bytes -> closed-form (signs, norms), read by GreenKernel
-_CLOSED_FORMS = {_upper_table(bc).tobytes(): (signs, norms)
-                 for bc, norms, signs in _CATALOG.values()}
+# catalog table bytes -> closed-form norms, read by GreenKernel
+_CLOSED_NORMS = {_upper_table(bc).tobytes(): norms
+                 for bc, norms in _CATALOG.values()}
 
 
 @cache
 def kernel_catalog(case: CaseId) -> GreenKernel:
-    """Kernel for a catalog case, whose table carries its closed forms; built
-    once and shared, as a kernel is frozen and its arrays read-only."""
+    """Kernel for a catalog case, whose table carries its closed-form norms;
+    built once and shared, as a kernel is frozen and its arrays read-only."""
     return GreenKernel(_upper_table(_CATALOG[case][0]))
 
 

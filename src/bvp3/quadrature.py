@@ -23,15 +23,17 @@ exact norms of ``greens``, and holds no (n+1)^2 array: 2.4 MiB at its peak
 at refinement 10, where the whole tables and weights took 23 MiB.
 
 Every grid rule of the package is here: the split weights, and
-``tabulate_blocks``, the one tabulation, the values of a stack of tables at
-every pair of nodes as V @ C @ V.T, V = [1, x, x^2], a block of node rows
-at a time.  The kernel dump of ``bvp3 kernel`` reads its blocks, and both
-dense references read them weighted, each side of a block times its split
-weights, built for the block's rows only, in one place.
+``_weighted_blocks``, the private tabulation of the two dense references,
+the values of a stack of tables at every pair of nodes as V @ C @ V.T,
+V = [1, x, x^2], a block of node rows at a time, each side of a block
+times its split weights, built for the block's rows only.  The kernel dump
+reads no grid rule: its values are the kernel's own, ``GreenKernel.g``,
+``g1`` and ``g2``.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,23 +46,25 @@ __all__ = [
     "apply_rows",
     "kernel_row_matrix",
     "numeric_kernel_norms",
-    "tabulate_blocks",
 ]
 
 NODE_TOL = 1e-9
 NORM_BASE_N = 100  # numeric_kernel_norms grid per unit of refinement
-BLOCK_ROWS = 24  # node rows in a block of tabulate_blocks
+BLOCK_ROWS = 24  # node rows in a block of _weighted_blocks
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid on [0, 1] with n subintervals (n + 1 nodes)."""
+    """Uniform grid on [0, 1] with n subintervals (n + 1 nodes), n an
+    integer of 2 or more; any other n is refused when the grid is built."""
 
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("grid needs at least 2 subintervals")
+        # numpy integers are Integral too; a bool is not taken for one
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+            raise ValueError("grid needs an integer n >= 2, not %r" % (n,))
 
     @property
     def h(self) -> float:
@@ -93,27 +97,6 @@ class Grid:
         return cls(n)
 
 
-def tabulate_blocks(tables, nodes):
-    """(a, b, values) for each block of node rows a <= i < b: the values of
-    tables, a (..., 3, 3) stack, at (t_i, s_j) for every node s_j, shaped
-    (..., b - a, len(nodes)), so a caller need not hold a whole table.
-
-    Each block is (V @ C)[a:b] @ V.T, V = [1, x, x^2], with V @ C built once
-    per table.  BLAS kernels work on fixed groups of rows, so a block's bits
-    match the whole product's only where the groups line up: with OpenBLAS
-    0.3.31 (x86-64, AVX-512, one thread), blocks that start at multiples of
-    BLOCK_ROWS = 24 matched for every n up to 1000, while blocks at other
-    offsets, and single rows, which go through a matrix-vector product, did
-    not.  So the last block takes the rest, never one row alone.
-    """
-    x = np.asarray(nodes, dtype=float)
-    v = np.stack([np.ones_like(x), x, x * x], axis=1)
-    left = v @ tables
-    starts = [*range(0, max(x.size - 1, 1), BLOCK_ROWS), x.size]
-    for a, b in zip(starts, starts[1:]):
-        yield a, b, left[..., a:b, :] @ v.T
-
-
 def _split_weights(n, a, b):
     """Rows a <= i < b of the trapezoid weights, stacked as (w_lower,
     w_upper), on the n-interval unit grid, split at the diagonal:
@@ -132,9 +115,25 @@ def _split_weights(n, a, b):
 
 
 def _weighted_blocks(tables, grid):
-    """The blocks of ``tabulate_blocks`` for tables, a (..., 2, 3, 3) stack
-    on (..., side), each side weighted in place by its split weights."""
-    for a, b, values in tabulate_blocks(tables, grid.nodes):
+    """The values of tables, a (..., 2, 3, 3) stack on (..., side), at
+    (t_i, s_j) for each block of node rows a <= i < b and every node s_j,
+    each side weighted in place by its split weights, shaped
+    (..., 2, b - a, n + 1), so a caller need not hold a whole table.
+
+    Each block is (V @ C)[a:b] @ V.T, V = [1, x, x^2], with V @ C built once
+    per table.  BLAS kernels work on fixed groups of rows, so a block's bits
+    match the whole product's only where the groups line up: with OpenBLAS
+    0.3.31 (x86-64, AVX-512, one thread), blocks that start at multiples of
+    BLOCK_ROWS = 24 matched for every n up to 1000, while blocks at other
+    offsets, and single rows, which go through a matrix-vector product, did
+    not.  So the last block takes the rest, never one row alone.
+    """
+    x = grid.nodes
+    v = np.stack([np.ones_like(x), x, x * x], axis=1)
+    left = v @ tables
+    starts = [*range(0, x.size - 1, BLOCK_ROWS), x.size]
+    for a, b in zip(starts, starts[1:]):
+        values = left[..., a:b, :] @ v.T
         values *= _split_weights(grid.n, a, b)
         yield values
 

@@ -14,8 +14,9 @@ from bvp3.cli import (FLOAT_FMT, NoExactSolution, _csv_rows, _csv_text,
                       convergence_study, main)
 from bvp3 import (Diverged, Grid, MaxIterExceeded, NonFiniteValue,
                   get_problem, kernel_for, list_problems, solve, verdict)
-from bvp3.greens import (BoundaryConditions, CaseId, build_general_kernel,
-                         kernel_catalog)
+from bvp3 import greens
+from bvp3.greens import (BoundaryConditions, CaseId, GreenKernel,
+                         build_general_kernel, kernel_catalog)
 
 REPORT_FIELDS = ["problem", "h", "tol", "iterations", "final_diff", "q", "p_k",
                  "M0", "M1", "M2", "bound_checks", "residual", "max_dev_exact",
@@ -100,15 +101,21 @@ def assert_writer_bytes(*columns):
 
 def kernel_columns(case, h, kernel=None):
     """The columns of the bvp3 kernel dump of a catalog case, or of the
-    kernel given, each built whole: a table's values are one product
-    V @ C @ V.T, V = [1, x, x^2], on one BLAS thread below 419 nodes."""
-    tt = Grid.from_h(h).nodes
-    v = np.stack([np.ones_like(tt), tt, tt * tt], axis=1)
-    below = np.tri(tt.size, dtype=bool)
+    kernel given, each built whole: ``kernel.g``, ``g1`` and ``g2`` on the
+    whole meshgrid of the nodes."""
+    t, s = np.meshgrid(*[Grid.from_h(h).nodes] * 2, indexing="ij")
     kernel = kernel or kernel_catalog(CaseId(case))
-    return (np.repeat(tt, tt.size), np.tile(tt, tt.size),
-            *(np.where(below, v @ low @ v.T, v @ up @ v.T).ravel()
-              for low, up in map(kernel.tables, range(3))))
+    return (t.ravel(), s.ravel(),
+            *(row(t, s).ravel() for row in (kernel.g, kernel.g1, kernel.g2)))
+
+
+def assert_kernel_dump(path, columns):
+    """The file at path is the kernel dump text of the columns; a mismatch
+    names its first three lines, with no diff of the whole text."""
+    got = Path(path).read_text().split("\n")
+    want = "".join(_csv_text("t,s,G,G1,G2", columns)).split("\n")
+    bad = [(g, w) for g, w in zip(got, want) if g != w][:3]
+    assert len(got) == len(want) and not bad, bad
 
 
 def test_csv_writer_random_bit_patterns():
@@ -280,26 +287,30 @@ def test_kernel_dump(runner, tmp_path):
 
 @pytest.mark.parametrize("n", [4, 23, 24, 48, 100, 200])
 def test_kernel_dump_blocks_give_the_whole_bytes(n, runner, tmp_path):
-    # 24 node rows a block, the last with the rest: one block below 25
-    # nodes, a last block of 25 rows at n = 24 and 48, and several blocks
-    # of a constructed kernel whose values are not exact in binary
+    # the dump is the kernel's own values, block by block: at every n, one
+    # block or several, a catalog kernel and a constructed one whose values
+    # are not exact in binary print kernel.g, g1 and g2 on the whole
+    # meshgrid, bit for bit, as %.17g round-trips every double
     h = 1.0 / n
-    kernel = build_general_kernel(BoundaryConditions(1, 0, 0, 0, 1, 0, 1, 0, 0))
-    want = "".join(_csv_text("t,s,G,G1,G2", kernel_columns(0, h, kernel)))
+    bc = {"a1": 1, "b1": 0, "g1": 0, "a2": 0, "b2": 1, "g2": 0,
+          "a3": 1, "b3": 0, "g3": 0}
+    kernel = build_general_kernel(BoundaryConditions(*bc.values()))
     with runner.isolated_filesystem(temp_dir=tmp_path):
-        Path("bc.json").write_text(json.dumps({
-            "a1": 1, "b1": 0, "g1": 0, "a2": 0, "b2": 1, "g2": 0,
-            "a3": 1, "b3": 0, "g3": 0}))
-        res = runner.invoke(main, ["kernel", "--bc-file", "bc.json",
-                                   "--h", repr(h), "--csv", "k.csv"])
-        assert res.exit_code == 0, res.output
-        assert Path("k.csv").read_text() == want
+        Path("bc.json").write_text(json.dumps(bc))
+        for args, case, given in ((["--bc-file", "bc.json"], 0, kernel),
+                                  (["--case", "1"], 1, None)):
+            res = runner.invoke(main, ["kernel", *args, "--h", repr(h),
+                                       "--csv", "k.csv"])
+            assert res.exit_code == 0, res.output
+            assert_kernel_dump("k.csv", kernel_columns(case, h, given))
 
 
 def test_kernel_dump_memory_is_bounded(tmp_path, monkeypatch):
-    # the five (n+1)^2 columns built whole peaked at 6.96 MiB at h = 0.0025;
-    # tabulated a block of node rows at a time, the dump stays under 2 MiB,
-    # with the bytes of the whole columns
+    # the five (n+1)^2 columns built whole peaked at 6.96 MiB at h = 0.0025,
+    # and blocks of node rows tabulated as BLAS products at 1.55 MiB (1.79
+    # on a process's first dump); the kernel's own values, KERNEL_ROWS node
+    # rows at a time, peak at 1.04 MiB (1.28 on the first dump), with the
+    # bytes of the whole columns
     monkeypatch.chdir(tmp_path)
     tracemalloc.start()
     try:
@@ -308,9 +319,25 @@ def test_kernel_dump_memory_is_bounded(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2 ** 20
-    want = "".join(_csv_text("t,s,G,G1,G2", kernel_columns(1, 0.0025)))
-    assert Path("k.csv").read_text() == want
+    assert peak < 1.4 * 2 ** 20
+    assert_kernel_dump("k.csv", kernel_columns(1, 0.0025))
+
+
+def test_kernel_dump_reads_no_norms(runner, tmp_path, monkeypatch):
+    # a dump reads only the kernel's values: a constructed kernel is dumped
+    # without its norms, whose scan runs on their first read alone
+    calls = []
+    scan = greens._norms
+    monkeypatch.setattr(greens, "_norms",
+                        lambda rows: calls.append(1) or scan(rows))
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("bc.json").write_text(json.dumps({
+            "a1": 1, "b1": 0.1, "g1": 0, "a2": 0.05, "b2": 1, "g2": 0,
+            "a3": 0, "b3": 0.9, "g3": 0.1}))
+        res = runner.invoke(main, ["kernel", "--bc-file", "bc.json",
+                                   "--h", "0.05"])
+        assert res.exit_code == 0, res.output
+    assert calls == []
 
 
 def test_kernel_case3_nonnegative(runner, tmp_path):
@@ -530,13 +557,12 @@ def test_allocation_failure_ends_with_clean_error(runner, tmp_path,
 
 
 def test_failed_write_leaves_no_partial_file(runner, tmp_path, monkeypatch):
-    # the dump's header is written before its first block is tabulated;
+    # the dump's header is written before its first block is evaluated;
     # a failure there removes the file the write opened
-    def refused(tables, nodes):
+    def refused(kernel, t, s):
         raise MemoryError(REFUSED)
-        yield
 
-    monkeypatch.setattr("bvp3.cli.tabulate_blocks", refused)
+    monkeypatch.setattr(GreenKernel, "g", refused)
     with runner.isolated_filesystem(temp_dir=tmp_path):
         res = runner.invoke(main, ["kernel", "--case", "1", "--h", "0.05"])
         assert list(Path.cwd().iterdir()) == []

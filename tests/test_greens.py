@@ -743,8 +743,9 @@ def test_secant_step_reads_past_the_hermite_point(monkeypatch):
         reads.append(out[0].copy())
         return out
 
-    monkeypatch.setattr(greens, "_norm_slopes", spy)
     k = build_general_kernel(BoundaryConditions(*SECANT_BC))
+    monkeypatch.setattr(greens, "_norm_slopes", spy)
+    k.norms()
     assert len(reads) == 3 and reads[2].shape == (2, 1)
     earlier = max(reads[0][0].max(), reads[1][0].max())
     assert k.m0 == reads[2][0, 0] > earlier * (1.0 + 5e-12)
@@ -773,8 +774,9 @@ def test_second_secant_step_reads_the_peak(monkeypatch):
         reads.append(out[0].copy())
         return out
 
-    monkeypatch.setattr(greens, "_norm_slopes", spy)
     k = build_general_kernel(SECOND_SECANT_BC)
+    monkeypatch.setattr(greens, "_norm_slopes", spy)
+    k.norms()
     assert len(reads) == 4 and reads[3].shape == (2, 1)
     assert k.m1 == reads[3][1, 0] > reads[2][1, 0]
     rows = [k.tables(order) for order in range(3)]
@@ -860,6 +862,37 @@ def test_solving_reads_no_signs(monkeypatch):
     assert calls == [1]
     assert ((kernel.sigma_g, kernel.sigma_g1)
             == _reference_signs_and_norms(rows)[0])
+
+
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_catalog_signs_come_from_the_scan(case, monkeypatch):
+    # a catalog table carries no signs of its own: the first sign read of a
+    # freshly built catalog kernel scans once and finds the case's signs
+    calls = []
+    scan = greens._signs
+    monkeypatch.setattr(greens, "_signs",
+                        lambda rows: calls.append(1) or scan(rows))
+    k = kernel_catalog.__wrapped__(case)
+    assert calls == []
+    assert (k.sigma_g, k.sigma_g1) == SIGNS[case]
+    assert (k.sigma_g, k.sigma_g1) == SIGNS[case]
+    assert calls == [1]
+
+
+def test_norms_are_derived_on_first_read(monkeypatch):
+    # building a kernel scans for no norms; the first read of a norm scans
+    # once, and every later read, by any name, reads that scan's values
+    calls = []
+    scan = greens._norms
+    monkeypatch.setattr(greens, "_norms",
+                        lambda rows: calls.append(1) or scan(rows))
+    k = build_general_kernel(BoundaryConditions(*SECANT_BC))
+    assert calls == []
+    m0 = k.m0
+    assert calls == [1]
+    assert k.norms() == (m0, k.m1, k.m2) == scan(k._rows)
+    assert k.q((1.0, 1.0, 1.0)) == m0 + k.m1 + k.m2
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("table, said", [

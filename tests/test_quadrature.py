@@ -1,6 +1,6 @@
 """Grid bookkeeping, the trapezoid weights, the diagonal split, the O(n)
-apply held to the dense weight matrices, and the blocked tabulation held to
-whole tables and weights."""
+apply held to the dense weight matrices, and the blocked weighted
+tabulation of the dense references held to whole tables and weights."""
 
 import itertools
 import math
@@ -22,7 +22,7 @@ from bvp3 import (BoundaryConditions, CaseId, Grid, RankDeficientBC,
                   numeric_kernel_norms)
 from bvp3.greens import evaluate
 from bvp3.quadrature import (BLOCK_ROWS, NORM_BASE_N, _split_weights,
-                             tabulate_blocks)
+                             _weighted_blocks)
 
 GRID = Grid(100)
 CASE1 = kernel_catalog(CaseId.CASE1)
@@ -62,6 +62,16 @@ def test_grid_validation():
         Grid.from_h(0.7)
     assert Grid.from_h(0.01).n == 100
     assert Grid.from_h(0.04).n == 25
+
+
+@pytest.mark.parametrize("n", [100.0, 100.5, "100", True])
+def test_grid_refuses_a_non_integer_n(n):
+    # refused when built, not on the first read of the nodes
+    with pytest.raises(ValueError, match="integer n >= 2, not " + repr(n)):
+        Grid(n)
+    with pytest.raises(ValueError, match="integer n >= 2, not 250.0"):
+        numeric_kernel_norms(CASE1, 2.5)
+    assert Grid(np.int64(100)).nodes.size == 101
 
 
 def test_trapezoid_constants_and_linears():
@@ -330,22 +340,27 @@ def _reference_split_weights(n):
     return w_low, w_low[::-1, ::-1]
 
 
-def _reference_numeric_norms(kernel, refinement, tabulate=_whole_table):
+def _whole_weighted(tables, grid):
+    """The split weights times a (lower, upper) pair's whole tables, one
+    (2, n + 1, n + 1) array: the plain formula the blocks are held to."""
+    return (np.array(_reference_split_weights(grid.n))
+            * [_whole_table(table, grid.nodes) for table in tables])
+
+
+def _reference_numeric_norms(kernel, refinement, weighted=_whole_weighted):
     """numeric_kernel_norms on whole tables and weights: each side's
-    weighted row sums of |values| added, then the largest."""
-    n = NORM_BASE_N * refinement
-    nodes = Grid(n).nodes
-    w_low, w_up = _reference_split_weights(n)
+    row sums of |weighted values| added, then the largest; the weights are
+    not negative, so |w * v| = w * |v| bit for bit."""
+    grid = Grid(NORM_BASE_N * refinement)
     return tuple(
-        float(np.max(np.sum(w_low * np.abs(tabulate(low, nodes)), axis=1)
-                     + np.sum(w_up * np.abs(tabulate(up, nodes)), axis=1)))
-        for low, up in map(kernel.tables, range(3)))
+        float(np.max(np.sum(np.abs(low), axis=1) + np.sum(np.abs(up), axis=1)))
+        for low, up in (weighted(kernel.tables(k), grid) for k in range(3)))
 
 
-def _joined_blocks(table, nodes):
-    """A table's values at every pair of nodes, joined from the blocks of
-    ``tabulate_blocks``."""
-    return np.concatenate([vals for *_, vals in tabulate_blocks(table, nodes)])
+def _joined_blocks(tables, grid):
+    """The weighted values of a (lower, upper) pair at every pair of nodes,
+    joined from the blocks of ``_weighted_blocks``."""
+    return np.concatenate(list(_weighted_blocks(tables, grid)), axis=-2)
 
 
 def _random_kernels(count, seed):
@@ -375,49 +390,48 @@ def test_split_weights_rows_match_whole_matrices(n):
         assert np.array_equal(_split_weights(n, a, b), ref[:, a:b])
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 24, 25, 26, 47, 48, 49, 50,
+@pytest.mark.parametrize("size", [3, 24, 25, 26, 47, 48, 49, 50,
                                   101, 201, 301, 401, ONE_THREAD_NODES - 1])
 def test_tabulate_blocks_cover_the_rows(size):
-    # blocks start at multiples of BLOCK_ROWS and the last takes the rest,
-    # never one row alone unless there is only one; a stack of tables comes
-    # back in its own shape, with the bits of each table's whole product
-    # V @ C @ V.T, of a catalog and of a constructed kernel
-    nodes = np.linspace(0.0, 1.0, size)
+    # blocks of node rows start at multiples of BLOCK_ROWS and the last
+    # takes the rest, never one row alone; a stack of tables comes back in
+    # its own shape, with the bits of the split weights times each table's
+    # whole product V @ C @ V.T, of a catalog and of a constructed kernel
+    grid = Grid(size - 1)
     tables = np.concatenate([CASE1.tables(), BLOCK_KERNELS[-1].tables()])
-    blocks = list(tabulate_blocks(tables, nodes))
-    starts = [a for a, _, _ in blocks]
-    assert starts == list(range(0, len(blocks) * BLOCK_ROWS, BLOCK_ROWS))
-    assert [b for _, b, _ in blocks] == starts[1:] + [size]
-    assert size == 1 or all(b - a >= 2 for a, b, _ in blocks)
-    for a, b, values in blocks:
-        assert values.shape == (6, 2, b - a, size)
-    joined = np.concatenate([values for *_, values in blocks], axis=2)
-    for k, side in itertools.product(range(6), range(2)):
-        whole = _whole_table(tables[k, side], nodes)
-        assert np.array_equal(joined[k, side].view(np.uint64),
+    blocks = list(_weighted_blocks(tables, grid))
+    rows = [values.shape[2] for values in blocks]
+    assert rows[:-1] == [BLOCK_ROWS] * (len(blocks) - 1)
+    assert sum(rows) == size and rows[-1] >= 2
+    for values in blocks:
+        assert values.shape[:2] + values.shape[3:] == (6, 2, size)
+    joined = np.concatenate(blocks, axis=2)
+    for k in range(6):
+        whole = _whole_weighted(tables[k], grid)
+        assert np.array_equal(joined[k].view(np.uint64),
                               whole.view(np.uint64))
 
 
-# the blocks of a catalog and of a constructed kernel at grids past
-# ONE_THREAD_NODES, hashed in order, one SHA-256 per kernel and grid
+# the weighted blocks of a catalog and of a constructed kernel at grids
+# past ONE_THREAD_NODES, hashed in order, one SHA-256 per kernel and grid
 HASH_BLOCKS = """\
 import hashlib
 from bvp3 import (BoundaryConditions, CaseId, Grid, build_general_kernel,
                   kernel_catalog)
-from bvp3.quadrature import tabulate_blocks
+from bvp3.quadrature import _weighted_blocks
 for kernel in (kernel_catalog(CaseId.CASE2), build_general_kernel(
         BoundaryConditions(1, 0, 0, 0, 1, 0, 1, 0, 0))):
     for n in (500, 1000):
         digest = hashlib.sha256()
-        for *_, values in tabulate_blocks(kernel.tables(), Grid(n).nodes):
+        for values in _weighted_blocks(kernel.tables(), Grid(n)):
             digest.update(values.tobytes())
         print(digest.hexdigest())
 """
 
 
 def test_tabulated_bytes_do_not_depend_on_blas_threads():
-    # the kernel dump's bytes are the blocks': a child at one OpenBLAS
-    # thread and one at two print the same hashes
+    # the dense references read the weighted blocks: a child at one
+    # OpenBLAS thread and one at two print the same hashes
     printed = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
@@ -434,13 +448,13 @@ def test_numeric_norms_match_whole_tables(refinement):
     # the catalog kernels and 8 random ones: the blocked sums give the
     # bits of the plain formula on whole tables and weights.  At 1001
     # nodes the whole product may be split over BLAS threads, so there the
-    # tables are the joined blocks, which the test above holds to the whole
-    # product where it runs on one thread
+    # weighted tables are the joined blocks, which the test above holds to
+    # the whole product where it runs on one thread
     one_thread = NORM_BASE_N * refinement < ONE_THREAD_NODES
-    tabulate = _whole_table if one_thread else _joined_blocks
+    weighted = _whole_weighted if one_thread else _joined_blocks
     for kernel in BLOCK_KERNELS:
         assert (numeric_kernel_norms(kernel, refinement)
-                == _reference_numeric_norms(kernel, refinement, tabulate))
+                == _reference_numeric_norms(kernel, refinement, weighted))
 
 
 @pytest.mark.parametrize("n", [4, 23, 24, 25, 100, 401])
